@@ -13,7 +13,7 @@
 // is run once per invocation when any of them is requested. Sweep
 // cells run concurrently on -j workers (default: all host cores); each
 // cell is an independent deterministic simulation, so the output is
-// byte-identical to a -seq run at any -j.
+// byte-identical to a -j 1 run at any -j.
 package main
 
 import (
@@ -99,8 +99,7 @@ func main() {
 
 	opts := harness.Options{
 		Size:        size,
-		Workers:     cli.Workers(),
-		Parallelism: cli.Parallelism(),
+		Workers:     cli.Jobs,
 		MetricsDir:  cli.MetricsDir,
 		SampleEvery: cli.SampleEvery(),
 		Faults:      faults,

@@ -1,7 +1,7 @@
 package harness
 
 // Shared CLI surface of the prism commands. Every tool that exposes
-// -size, -j/-seq, -metrics, -sample or -faults registers the flag here,
+// -size, -j, -metrics, -sample or -faults registers the flag here,
 // so names, defaults and help text cannot drift between prismbench,
 // prismsim, prismstat and prismtrace — and so the fault-spec syntax is
 // parsed by exactly one function (fault.ParseSpec).
@@ -24,8 +24,6 @@ import (
 type CLI struct {
 	SizeName   string
 	Jobs       int
-	Seq        bool
-	Par        int
 	MetricsDir string
 	Sample     uint64
 	FaultSpec  string
@@ -44,14 +42,9 @@ func (c *CLI) RegisterSize(fs *flag.FlagSet, def string) {
 	fs.StringVar(&c.SizeName, "size", def, "data-set size: "+strings.Join(SizeNames, "|"))
 }
 
-// RegisterParallel registers the worker-pool pair -j / -seq and the
-// engine-shard flag -par. -j widens the sweep pool (runs per host);
-// -par shards each run's machine on the conservative parallel engine;
-// the harness clamps their product to GOMAXPROCS.
+// RegisterParallel registers -j, the sweep worker-pool width.
 func (c *CLI) RegisterParallel(fs *flag.FlagSet) {
-	fs.IntVar(&c.Jobs, "j", 0, "max concurrent runs (0 = all host cores)")
-	fs.BoolVar(&c.Seq, "seq", false, "force the sequential path (same as -j 1 -par 1)")
-	fs.IntVar(&c.Par, "par", 0, "engine shards per machine run, byte-identical results (0/1 = sequential engine)")
+	fs.IntVar(&c.Jobs, "j", 0, "max concurrent runs (0 = all host cores, 1 = sequential)")
 }
 
 // RegisterMetrics registers -metrics (telemetry export directory).
@@ -74,22 +67,6 @@ func (c *CLI) RegisterFaults(fs *flag.FlagSet) {
 
 // Size resolves -size.
 func (c *CLI) Size() (workloads.Size, error) { return ParseSize(c.SizeName) }
-
-// Workers resolves -j / -seq into a harness worker count.
-func (c *CLI) Workers() int {
-	if c.Seq {
-		return 1
-	}
-	return c.Jobs
-}
-
-// Parallelism resolves -par / -seq into engine shards per machine run.
-func (c *CLI) Parallelism() int {
-	if c.Seq {
-		return 1
-	}
-	return c.Par
-}
 
 // SampleEvery resolves -sample into a snapshot interval.
 func (c *CLI) SampleEvery() sim.Time { return sim.Time(c.Sample) }

@@ -21,7 +21,7 @@ func TestCLIRegistrationAndAccessors(t *testing.T) {
 	cli.RegisterFaults(fs)
 
 	err := fs.Parse([]string{
-		"-size", "mini", "-j", "4", "-par", "2", "-metrics", "out",
+		"-size", "mini", "-j", "4", "-metrics", "out",
 		"-sample", "1000", "-faults", "seed=42,drop=0.02",
 	})
 	if err != nil {
@@ -30,11 +30,8 @@ func TestCLIRegistrationAndAccessors(t *testing.T) {
 	if sz, err := cli.Size(); err != nil || sz != workloads.MiniSize {
 		t.Fatalf("size %v err %v", sz, err)
 	}
-	if cli.Workers() != 4 {
-		t.Fatalf("workers %d, want 4", cli.Workers())
-	}
-	if cli.Parallelism() != 2 {
-		t.Fatalf("parallelism %d, want 2", cli.Parallelism())
+	if cli.Jobs != 4 {
+		t.Fatalf("workers %d, want 4", cli.Jobs)
 	}
 	if cli.MetricsDir != "out" || cli.SampleEvery() != 1000 {
 		t.Fatalf("metrics %q sample %d", cli.MetricsDir, cli.SampleEvery())
@@ -45,21 +42,6 @@ func TestCLIRegistrationAndAccessors(t *testing.T) {
 	}
 	if plan == nil || plan.Seed != 42 || plan.Default.Drop != 0.02 {
 		t.Fatalf("fault plan %+v", plan)
-	}
-}
-
-func TestCLISeqOverridesJobs(t *testing.T) {
-	var cli CLI
-	fs := NewFlagSet("test", io.Discard)
-	cli.RegisterParallel(fs)
-	if err := fs.Parse([]string{"-j", "8", "-par", "4", "-seq"}); err != nil {
-		t.Fatal(err)
-	}
-	if cli.Workers() != 1 {
-		t.Fatalf("workers %d, want 1 under -seq", cli.Workers())
-	}
-	if cli.Parallelism() != 1 {
-		t.Fatalf("parallelism %d, want 1 under -seq", cli.Parallelism())
 	}
 }
 

@@ -252,36 +252,46 @@ func (s *Server) Jobs() []*Job {
 // existed; the job's state says whether the cancel landed before a
 // terminal state.
 func (s *Server) Cancel(id string) (*Job, bool) {
-	job, ok := s.Job(id)
+	// Holding s.mu across the cancel makes a queued job's terminal
+	// state and its retirement one step to Submit. (A running job can
+	// only publish StateCanceled from runJob, whose retire waits here.)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job, ok := s.jobs[id]
 	if !ok {
 		return nil, false
 	}
 	if job.Cancel() && job.Status(false).State == StateCanceled {
-		// Canceled while still queued: terminal right away. (A running
-		// job reaches StateCanceled later, in runJob, which does this
-		// bookkeeping then.)
-		s.canceled.Add(1)
-		s.removeInflight(job)
+		s.retireLocked(job, &s.canceled)
 		s.logf("job %s canceled while queued", id)
 	}
 	return job, true
 }
 
-func (s *Server) removeInflight(job *Job) {
+// retire takes a job out of the single-flight table and bumps the
+// counter of its terminal state. Callers retire a job before they
+// publish that state, so a client that sees the job finish and
+// resubmits at once gets a new job (a cache hit after StateDone), never
+// the finished one, and server metrics already count it.
+func (s *Server) retire(job *Job, counter *atomic.Uint64) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.retireLocked(job, counter)
+}
+
+func (s *Server) retireLocked(job *Job, counter *atomic.Uint64) {
 	if s.inflight[job.Digest] == job {
 		delete(s.inflight, job.Digest)
 	}
-	s.mu.Unlock()
+	counter.Add(1)
 }
 
 // runJob executes one dequeued job end to end.
 func (s *Server) runJob(job *Job) {
-	defer s.removeInflight(job)
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	if !job.tryStart(cancel) {
-		return // canceled while queued; already accounted
+		return // canceled while queued; Cancel retired it
 	}
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
@@ -312,8 +322,8 @@ func (s *Server) runJob(job *Job) {
 	runs, err := harness.Run(opts)
 	switch {
 	case err != nil && ctx.Err() != nil:
+		s.retire(job, &s.canceled)
 		job.setState(StateCanceled, err.Error())
-		s.canceled.Add(1)
 		s.logf("job %s canceled (%d apps completed)", job.ID, len(runs))
 		return
 	case err != nil:
@@ -332,14 +342,14 @@ func (s *Server) runJob(job *Job) {
 		}
 	}
 	s.cache.Put(job.Digest, res)
+	s.retire(job, &s.completed)
 	job.complete(res, false)
-	s.completed.Add(1)
 	s.logf("job %s done (%d cells)", job.ID, strings.Count(string(res.CSV), "\n")-1)
 }
 
 func (s *Server) failJob(job *Job, err error) {
+	s.retire(job, &s.failed)
 	job.setState(StateFailed, err.Error())
-	s.failed.Add(1)
 	s.logf("job %s failed: %v", job.ID, err)
 }
 

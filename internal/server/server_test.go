@@ -187,6 +187,77 @@ func TestConcurrentSubmitSingleFlight(t *testing.T) {
 	}
 }
 
+// waitTerminal blocks on the job's event log, without polling, until
+// the job publishes a terminal state.
+func waitTerminal(t *testing.T, job *server.Job) {
+	t.Helper()
+	timeout := time.After(30 * time.Second)
+	for {
+		_, more, terminal := job.EventsFrom(0)
+		if terminal {
+			return
+		}
+		select {
+		case <-more:
+		case <-timeout:
+			t.Fatalf("job %s never finished: %+v", job.ID, job.Status(false))
+		}
+	}
+}
+
+// stallAfterDone is a server log that parks the worker on its "job …
+// done" line, which it writes after publishing StateDone, until the
+// test hands it a token. Whatever bookkeeping the worker still owes at
+// that point is visibly not done yet.
+type stallAfterDone struct{ gate chan struct{} }
+
+func (w stallAfterDone) Write(p []byte) (int, error) {
+	line := string(p)
+	if strings.Contains(line, " done (") && !strings.Contains(line, "cache hit") {
+		select {
+		case <-w.gate:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	return len(p), nil
+}
+
+// A client that resubmits the instant it sees a job finish must get a
+// new job served from the result cache, never be deduplicated onto the
+// finished job. Each round is a cold spec (a distinct PIT access time)
+// whose worker is held just after it publishes StateDone while the
+// test resubmits.
+func TestResubmitAfterDoneIsCacheHit(t *testing.T) {
+	log := stallAfterDone{gate: make(chan struct{}, 1)}
+	s := server.New(server.Config{Log: log})
+	s.Start()
+	t.Cleanup(s.Abort)
+	for i := 0; i < 5; i++ {
+		spec := server.Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA"}, PITAccess: uint64(i + 1)}
+		cold, err := s.Submit(&spec)
+		if err != nil {
+			t.Fatalf("round %d: Submit: %v", i, err)
+		}
+		if cold.Status(false).Cached {
+			t.Fatalf("round %d: cold submission claims cached", i)
+		}
+		waitTerminal(t, cold)
+		if st := cold.Status(false); st.State != server.StateDone {
+			t.Fatalf("round %d: cold job ended %s (%s)", i, st.State, st.Error)
+		}
+		again := spec
+		hit, err := s.Submit(&again)
+		log.gate <- struct{}{}
+		if err != nil {
+			t.Fatalf("round %d: resubmit: %v", i, err)
+		}
+		if st := hit.Status(false); hit == cold || !st.Cached || st.State != server.StateDone {
+			t.Fatalf("round %d: resubmission got job %s (state %s, cached %v), want a new cache hit after %s",
+				i, hit.ID, st.State, st.Cached, cold.ID)
+		}
+	}
+}
+
 func TestCancelQueued(t *testing.T) {
 	s := server.New(server.Config{}) // no workers: stays queued
 	t.Cleanup(s.Abort)

@@ -4,6 +4,10 @@ import (
 	"testing"
 )
 
+// misuseMsg is the one documented panic for driving an engine from two
+// places at once.
+const misuseMsg = "sim: Engine.Run entered twice (reentrant or concurrent use; one engine per goroutine)"
+
 // TestRunReentrantPanics: calling Run from inside an event must fail
 // loudly rather than corrupt the heap.
 func TestRunReentrantPanics(t *testing.T) {
@@ -14,8 +18,8 @@ func TestRunReentrantPanics(t *testing.T) {
 		e.Run(Forever)
 	})
 	e.RunUntilIdle()
-	if recovered == nil {
-		t.Fatal("reentrant Run did not panic")
+	if recovered != misuseMsg {
+		t.Fatalf("reentrant Run panicked with %v, want %q", recovered, misuseMsg)
 	}
 }
 
@@ -40,8 +44,8 @@ func TestRunConcurrentPanics(t *testing.T) {
 	<-entered
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("concurrent Run did not panic")
+			if r := recover(); r != misuseMsg {
+				t.Errorf("concurrent Run panicked with %v, want %q", r, misuseMsg)
 			}
 		}()
 		e.Run(Forever)

@@ -11,7 +11,11 @@ import (
 )
 
 func TestDefaultConfigIsPaperMachine(t *testing.T) {
-	cfg := prism.DefaultConfig()
+	m, err := prism.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := m.Cfg
 	if cfg.Nodes != 8 || cfg.Node.Procs != 4 {
 		t.Fatalf("machine %dx%d, want 8x4", cfg.Nodes, cfg.Node.Procs)
 	}

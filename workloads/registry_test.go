@@ -9,9 +9,8 @@ import (
 )
 
 func TestRegistryWrapperEquivalence(t *testing.T) {
-	// The thin wrappers must reproduce the old hand-maintained
-	// switches: Table 2 names in paper order, the historical case
-	// variants, and the lock-free set.
+	// The registry must reproduce the old hand-maintained switches:
+	// Table 2 names in paper order and the historical case variants.
 	wantNames := []string{"barnes", "fft", "lu", "mp3d", "ocean", "radix", "water-nsq", "water-spa"}
 	got := Names()
 	if len(got) != len(wantNames) {
@@ -23,29 +22,17 @@ func TestRegistryWrapperEquivalence(t *testing.T) {
 		}
 	}
 	for _, spelling := range []string{"barnes", "Barnes", "FFT", "Water-Nsq", "waternsq", "waterspa", "LU"} {
-		w, err := ByName(spelling, MiniSize)
+		w, err := NewWorkload(spelling, MiniSize, nil)
 		if err != nil {
-			t.Errorf("ByName(%q): %v", spelling, err)
+			t.Errorf("NewWorkload(%q): %v", spelling, err)
 		} else if w == nil {
-			t.Errorf("ByName(%q): nil workload", spelling)
+			t.Errorf("NewWorkload(%q): nil workload", spelling)
 		}
-	}
-	lockFree := map[string]bool{
-		"barnes": false, "fft": true, "lu": true, "mp3d": true,
-		"ocean": true, "radix": true, "water-nsq": false, "water-spa": false,
-	}
-	for name, want := range lockFree {
-		if LockFree(name) != want {
-			t.Errorf("LockFree(%q) = %v, want %v", name, !want, want)
-		}
-	}
-	if LockFree("no-such-workload") {
-		t.Error("LockFree of unknown workload should be false")
 	}
 }
 
 func TestRegistryUnknownWorkload(t *testing.T) {
-	_, err := ByName("no-such-workload", MiniSize)
+	_, err := NewWorkload("no-such-workload", MiniSize, nil)
 	if !errors.Is(err, ErrUnknownWorkload) {
 		t.Fatalf("got %v, want ErrUnknownWorkload", err)
 	}
@@ -70,7 +57,7 @@ func TestRegistryUnknownParam(t *testing.T) {
 }
 
 func TestRegistryUnsupportedSize(t *testing.T) {
-	_, err := ByName("fft", DC64Size)
+	_, err := NewWorkload("fft", DC64Size, nil)
 	if !errors.Is(err, ErrUnsupportedSize) {
 		t.Fatalf("got %v, want ErrUnsupportedSize", err)
 	}

@@ -61,7 +61,7 @@ func TestSplashMidRunCheckpointEquivalence(t *testing.T) {
 		name, polName := name, replayPolicies[i]
 		t.Run(name+"/"+polName, func(t *testing.T) {
 			mk := func() prism.Workload {
-				w, err := workloads.ByName(name, workloads.MiniSize)
+				w, err := workloads.NewWorkload(name, workloads.MiniSize, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -17,8 +17,8 @@ import (
 // is issued per touched cache line (dense scans use ReadRange/
 // WriteRange plus Compute). Their shared state obeys the gate-ordering
 // contract of DESIGN.md §8 in its strictest form — barrier-separated
-// single-writer phases, no locks — so all three run on the parallel
-// engine and replay from checkpoints.
+// single-writer phases, no locks — so all three replay from
+// checkpoints.
 
 // zipfTable samples ranks 0..n-1 with probability ∝ 1/(rank+1)^s via
 // an inverse-CDF table. It deliberately avoids math/rand.Zipf: the

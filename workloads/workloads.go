@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"prism"
+	"prism/internal/core"
 	"prism/internal/mem"
 )
 
@@ -102,7 +103,7 @@ func ParseSize(name string) (Size, error) {
 // so page-cache policies feel real pressure at traffic-workload
 // footprints.
 func ConfigForSize(s Size) prism.Config {
-	cfg := prism.DefaultConfig()
+	cfg := core.DefaultConfig()
 	switch s {
 	case PaperSize:
 		cfg.Node.L1.Size = 8 << 10
@@ -134,28 +135,20 @@ func init() {
 	}
 	Register(Descriptor{Name: "barnes", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewBarnes(s) })})
-	Register(Descriptor{Name: "fft", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "fft", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewFFT(s) })})
-	Register(Descriptor{Name: "lu", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "lu", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewLU(s) })})
-	Register(Descriptor{Name: "mp3d", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "mp3d", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewMP3D(s) })})
-	Register(Descriptor{Name: "ocean", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "ocean", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewOcean(s) })})
-	Register(Descriptor{Name: "radix", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "radix", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewRadix(s) })})
 	Register(Descriptor{Name: "water-nsq", Aliases: []string{"waternsq"}, Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewWaterNsq(s) })})
 	Register(Descriptor{Name: "water-spa", Aliases: []string{"waterspa"}, Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewWaterSpa(s) })})
-}
-
-// ByName builds the named workload at the given size with default
-// parameters. Names are case-insensitive; the paper's kernels answer
-// to their Table 2 spellings (barnes, fft, lu, mp3d, ocean, radix,
-// water-nsq, water-spa).
-func ByName(name string, size Size) (prism.Workload, error) {
-	return NewWorkload(name, size, nil)
 }
 
 // Names lists the paper's workloads in Table 2 order — the default
@@ -179,22 +172,11 @@ func AllNames() []string {
 	return out
 }
 
-// LockFree reports whether the named workload synchronizes only
-// through barriers (no Ctx.Lock calls). Lock-free kernels can run on
-// the parallel engine even without hardware sync; lock-taking ones
-// (barnes, the water codes) need WithHardwareSync, since software
-// test-and-set locks are inherently order-dependent and unsupported
-// there. The harness uses this to pick the engine per cell.
-func LockFree(name string) bool {
-	d, ok := Lookup(name)
-	return ok && d.LockFree
-}
-
 // All builds every paper workload at the given size.
 func All(size Size) []prism.Workload {
 	var out []prism.Workload
 	for _, n := range Names() {
-		w, err := ByName(n, size)
+		w, err := NewWorkload(n, size, nil)
 		if err != nil {
 			panic(err)
 		}

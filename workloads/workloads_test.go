@@ -15,7 +15,7 @@ func runMini(t *testing.T, name string, polName string) (prism.Results, prism.Wo
 	if err != nil {
 		t.Fatalf("machine: %v", err)
 	}
-	w, err := ByName(name, MiniSize)
+	w, err := NewWorkload(name, MiniSize, nil)
 	if err != nil {
 		t.Fatalf("workload: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestWorkloadDeterminism(t *testing.T) {
 }
 
 func TestByNameRejectsUnknown(t *testing.T) {
-	if _, err := ByName("nosuch", MiniSize); err == nil {
+	if _, err := NewWorkload("nosuch", MiniSize, nil); err == nil {
 		t.Error("accepted unknown workload")
 	}
 }
