@@ -1,5 +1,5 @@
 // In-process microbenchmarks and the committed host-performance
-// baseline (BENCH_10.json).
+// baseline (BENCH_13.json).
 //
 // `prismbench -bench all` runs the suite via testing.Benchmark and
 // prints a table; `-benchjson FILE` writes the results (plus the
@@ -48,7 +48,7 @@ type SweepTiming struct {
 	WallMS int64  `json:"wall_ms"`
 }
 
-// BenchReport is the schema of BENCH_10.json.
+// BenchReport is the schema of the BENCH_*.json baselines.
 type BenchReport struct {
 	Note       string        `json:"note,omitempty"`
 	Benchmarks []BenchResult `json:"benchmarks"`
@@ -68,6 +68,8 @@ var benchSuite = map[string]func(b *testing.B){
 	"PITReverseHash":   benchPITReverseHash,
 	"DirectoryAccess":  benchDirectoryAccess,
 	"KernelPTEHit":     benchKernelPTEHit,
+	"KernelLRUVictim":  benchKernelLRUVictim,
+	"NodeTLBMiss":      benchNodeTLBMiss,
 	"MachineFFT":       func(b *testing.B) { benchMachine(b, "fft", "SCOMA") },
 	"MachineRadix":     func(b *testing.B) { benchMachine(b, "radix", "Dyn-LRU") },
 	"MachineOcean":     func(b *testing.B) { benchMachine(b, "ocean", "SCOMA") },
@@ -187,6 +189,70 @@ func benchKernelPTEHit(b *testing.B) {
 		if _, ok := k.PTE(vp); !ok {
 			b.Fatal("lost mapping")
 		}
+	}
+}
+
+// benchKernelLRUVictim is Dyn-LRU's eviction choice: one LRUVictim
+// query over a kernel holding ~2k bound client S-COMA frames. Two
+// nodes are built; node 0 faults in every page of a shared segment
+// that node 1 homes.
+func benchKernelLRUVictim(b *testing.B) {
+	const nodes, clientPages = 2, 2048
+	e := sim.NewEngine()
+	geom := mem.DefaultGeometry
+	tm := timing.Default()
+	reg := ipc.NewRegistry(geom, nodes)
+	net := network.New(e, nodes, network.DefaultConfig)
+	var kerns []*kernel.Kernel
+	for i := 0; i < nodes; i++ {
+		id := mem.NodeID(i)
+		k := kernel.New(e, id, geom, &tm, kernel.Config{RealFrames: 4 * clientPages}, reg, net, policy.SCOMA{})
+		net.Attach(id, node.New(e, id, geom, &tm, node.DefaultConfig(geom), net, reg, k))
+		kerns = append(kerns, k)
+	}
+	seg, err := reg.Shmget("bench", uint64(nodes*clientPages*geom.PageSize))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const vsid = mem.VSID(2)
+	for _, k := range kerns {
+		if err := k.AttachGlobal(vsid, seg.GSID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	k := kerns[0]
+	for p := uint32(0); p < nodes*clientPages; p++ {
+		if reg.StaticHome(mem.GPage{Seg: seg.GSID, Page: p}) != 0 {
+			k.HandleFault(mem.VPage{Seg: vsid, Page: p}, func(sim.Time, mem.FrameID, bool) {})
+		}
+	}
+	e.RunUntilIdle()
+	if n := k.ClientSCOMAFrames(); n != clientPages {
+		b.Fatalf("%d client frames bound, want %d", n, clientPages)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := k.LRUVictim(); !ok {
+			b.Fatal("no victim")
+		}
+	}
+}
+
+// benchNodeTLBMiss is a processor TLB miss: an insert that evicts from
+// a full 64-entry TLB, cycling through twice as many pages so every
+// insert misses.
+func benchNodeTLBMiss(b *testing.B) {
+	const entries = 64
+	t := node.NewTLB(entries)
+	for p := uint32(0); p < entries; p++ {
+		t.Insert(mem.VPage{Seg: 1, Page: p}, mem.FrameID(p))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := uint32(i % (2 * entries))
+		t.Insert(mem.VPage{Seg: 1, Page: entries + p}, mem.FrameID(p))
 	}
 }
 

@@ -111,14 +111,14 @@ func TestMigrateOutInTombstone(t *testing.T) {
 	if lines == nil || c.Dir.HasPage(g) {
 		t.Fatal("MigrateOut did not remove the directory")
 	}
-	if dst, ok := c.forwardTarget(g); !ok || dst != 1 {
+	if dst, ok := c.migratedTo.Get(g); !ok || dst != 1 {
 		t.Fatalf("tombstone %v/%v, want ->1", dst, ok)
 	}
 	c.MigrateIn(g, lines)
 	if !c.Dir.HasPage(g) {
 		t.Fatal("MigrateIn did not adopt")
 	}
-	if _, ok := c.forwardTarget(g); ok {
+	if c.migratedTo.Has(g) {
 		t.Fatal("tombstone survived MigrateIn")
 	}
 }

@@ -113,10 +113,19 @@ type Stats struct {
 // Reset zeroes the counters.
 func (s *Stats) Reset() { *s = Stats{} }
 
-type lineKey struct {
-	page mem.GPage
-	line int
+// lineKey packs a line's (segment, page, line) into one word, high
+// bits to low, so the sparse per-line transaction maps hash a single
+// uint64 and key order is line order. New rejects geometries with more
+// lines per page than the 16-bit line field holds.
+type lineKey uint64
+
+func mkLineKey(g mem.GPage, ln int) lineKey {
+	return lineKey(uint64(g.Seg)<<48 | uint64(g.Page)<<16 | uint64(ln))
 }
+
+func (k lineKey) page() mem.GPage { return mem.GPage{Seg: mem.GSID(k >> 48), Page: uint32(k >> 16)} }
+func (k lineKey) line() int       { return int(k & 0xffff) }
+func (k lineKey) String() string  { return fmt.Sprintf("%v line %d", k.page(), k.line()) }
 
 // clientTxn is an outstanding client-side transaction for one line.
 type clientTxn struct {
@@ -199,15 +208,15 @@ type Controller struct {
 
 	// clientFrames caches client frame hints per page when
 	// DirClientHints is on: page → node → frame.
-	clientFrames map[mem.GPage]map[mem.NodeID]mem.FrameID
+	clientFrames mem.PageTable[map[mem.NodeID]mem.FrameID]
 
 	// migratedTo tombstones pages whose dynamic home moved away from
 	// this node; held queues home-role traffic during the migration
-	// window; pageTraffic holds the per-page hardware counters that
-	// drive migration policies (§3.5). All allocated lazily.
-	migratedTo  map[mem.GPage]mem.NodeID
+	// window (allocated lazily); pageTraffic holds the per-page
+	// hardware counters that drive migration policies (§3.5).
+	migratedTo  mem.PageTable[mem.NodeID]
 	held        map[mem.GPage][]func()
-	pageTraffic map[mem.GPage][]uint32
+	pageTraffic mem.PageTable[[]uint32]
 
 	// refetchThreshold/onRefetch implement the R-NUMA-style reuse
 	// detector used by the bidirectional Dyn-Both policy: when a
@@ -270,16 +279,18 @@ func New(e *sim.Engine, node mem.NodeID, geom mem.Geometry, tm *timing.T, cfg Co
 	p *pit.PIT, d *directory.Directory, net *network.Network, memRes *sim.Resource,
 	local Local, router HomeRouter, pager HomePager) *Controller {
 
+	if geom.LinesPerPage() > 1<<16 {
+		panic(fmt.Sprintf("coherence: %d lines per page overflow a line key", geom.LinesPerPage()))
+	}
 	c := &Controller{
 		e: e, node: node, geom: geom, tm: tm, cfg: cfg,
 		PIT: p, Dir: d, net: net, memRes: memRes,
 		local: local, router: router, pager: pager,
-		client:       make(map[lineKey]*clientTxn),
-		home:         make(map[lineKey]*homeTxn),
-		homeQ:        make(map[lineKey][]func()),
-		flushWait:    make(map[uint64]func(at sim.Time)),
-		clientFrames: make(map[mem.GPage]map[mem.NodeID]mem.FrameID),
-		pools:        NewMsgPools(), // standalone default; see UsePools
+		client:    make(map[lineKey]*clientTxn),
+		home:      make(map[lineKey]*homeTxn),
+		homeQ:     make(map[lineKey][]func()),
+		flushWait: make(map[uint64]func(at sim.Time)),
+		pools:     NewMsgPools(), // standalone default; see UsePools
 	}
 	c.ctrl.Name = fmt.Sprintf("ctrl%d", node)
 	return c
@@ -374,7 +385,7 @@ func (c *Controller) putInts(s []int) {
 // Transit), fr is queued and fr.Retry runs after completion instead;
 // exactly one of Fill or Retry is eventually invoked.
 func (c *Controller) ClientFetch(at sim.Time, f mem.FrameID, ln int, write bool, ent *pit.Entry, fr Filler) {
-	key := lineKey{ent.GPage, ln}
+	key := mkLineKey(ent.GPage, ln)
 	if txn, ok := c.client[key]; ok {
 		txn.waiters = append(txn.waiters, fr)
 		return
@@ -401,7 +412,7 @@ func (c *Controller) ClientFetch(at sim.Time, f mem.FrameID, ln int, write bool,
 
 // handleData completes a client transaction.
 func (c *Controller) handleData(src mem.NodeID, m *DataMsg) {
-	key := lineKey{m.Page, m.Line}
+	key := mkLineKey(m.Page, m.Line)
 	txn, ok := c.client[key]
 	if !ok {
 		panic(fmt.Sprintf("coherence: node %d: data for %v line %d without transaction (from=%d excl=%v withData=%v fault=%v reqFrame=%d t=%d)",

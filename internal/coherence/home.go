@@ -26,7 +26,7 @@ func (c *Controller) reply(t sim.Time, dst mem.NodeID, m GetMsg, withData, excl,
 // routeAway picks where to send a request this node cannot serve: the
 // migration tombstone if one exists, else via the static home.
 func (c *Controller) routeAway(g mem.GPage) mem.NodeID {
-	if dst, ok := c.forwardTarget(g); ok {
+	if dst, ok := c.migratedTo.Get(g); ok {
 		return dst
 	}
 	if c.node == c.router.StaticHome(g) {
@@ -170,7 +170,7 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 		return
 	}
 
-	key := lineKey{m.Page, m.Line}
+	key := mkLineKey(m.Page, m.Line)
 	if c.home[key] != nil {
 		c.homeQ[key] = append(c.homeQ[key], func() { c.handleGet(src, m, true) })
 		return
@@ -189,12 +189,11 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 		c.recordTraffic(m.Page, src)
 	}
 	if c.cfg.DirClientHints && src != c.node {
-		cf := c.clientFrames[m.Page]
-		if cf == nil {
-			cf = make(map[mem.NodeID]mem.FrameID)
-			c.clientFrames[m.Page] = cf
+		cf := c.clientFrames.Ensure(m.Page)
+		if *cf == nil {
+			*cf = make(map[mem.NodeID]mem.FrameID)
 		}
-		cf[src] = m.ReqFrame
+		(*cf)[src] = m.ReqFrame
 	}
 
 	pa := mem.NewPAddr(c.geom, f, m.Line*c.geom.LineSize)
@@ -424,7 +423,8 @@ func (c *Controller) clientHint(g mem.GPage, n mem.NodeID) (mem.FrameID, bool) {
 	if !c.cfg.DirClientHints {
 		return 0, false
 	}
-	f, ok := c.clientFrames[g][n]
+	cf, _ := c.clientFrames.Get(g)
+	f, ok := cf[n]
 	return f, ok
 }
 
@@ -451,19 +451,19 @@ func (c *Controller) awaitGrantAck(key lineKey) {
 // handleGrantAck unlocks a line whose grant has been consumed.
 func (c *Controller) handleGrantAck(src mem.NodeID, m *GrantAckMsg) {
 	c.ctrlBusy(c.e.Now(), c.tm.CtrlIn/4)
-	c.ack(lineKey{m.Page, m.Line})
+	c.ack(mkLineKey(m.Page, m.Line))
 }
 
 // handleInvAck counts an invalidation acknowledgement.
 func (c *Controller) handleInvAck(src mem.NodeID, m *InvAckMsg) {
 	c.ctrlBusy(c.e.Now(), c.tm.CtrlIn)
-	c.ack(lineKey{m.Page, m.Line})
+	c.ack(mkLineKey(m.Page, m.Line))
 }
 
 // handleRecallResp resumes the transaction waiting on a recall.
 func (c *Controller) handleRecallResp(src mem.NodeID, m *RecallRespMsg) {
 	c.ctrlBusy(c.e.Now(), c.tm.CtrlIn)
-	key := lineKey{m.Page, m.Line}
+	key := mkLineKey(m.Page, m.Line)
 	txn := c.home[key]
 	if txn == nil || txn.onRecall == nil {
 		return // transaction superseded by a page drop

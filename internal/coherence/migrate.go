@@ -21,7 +21,7 @@ import (
 // exporting the directory.
 func (c *Controller) PageQuiescent(g mem.GPage) bool {
 	for ln := 0; ln < c.geom.LinesPerPage(); ln++ {
-		key := lineKey{g, ln}
+		key := mkLineKey(g, ln)
 		if c.home[key] != nil || len(c.homeQ[key]) > 0 {
 			return false
 		}
@@ -41,11 +41,8 @@ func (c *Controller) MigrateOut(g mem.GPage, dst mem.NodeID) []directory.Line {
 	if lines == nil {
 		panic(fmt.Sprintf("coherence: node %d: MigrateOut without directory for %v", c.node, g))
 	}
-	if c.migratedTo == nil {
-		c.migratedTo = make(map[mem.GPage]mem.NodeID)
-	}
-	c.migratedTo[g] = dst
-	delete(c.pageTraffic, g)
+	c.migratedTo.Set(g, dst)
+	c.pageTraffic.Delete(g)
 	// Hold home-role traffic for the page until the migration commits:
 	// forwarding before the new home has adopted the directory would
 	// ping-pong requests between the two nodes.
@@ -77,30 +74,16 @@ func (c *Controller) isHeld(g mem.GPage) bool {
 // MigrateIn adopts page g's directory as the new dynamic home.
 func (c *Controller) MigrateIn(g mem.GPage, lines []directory.Line) {
 	c.Dir.AdoptPage(g, lines)
-	delete(c.migratedTo, g) // this node is authoritative again
-}
-
-// forwardTarget resolves where a request for g should go when this
-// node cannot serve it: a tombstone from a past migration wins,
-// otherwise route via the static home's registry.
-func (c *Controller) forwardTarget(g mem.GPage) (mem.NodeID, bool) {
-	if dst, ok := c.migratedTo[g]; ok {
-		return dst, true
-	}
-	return 0, false
+	c.migratedTo.Delete(g) // this node is authoritative again
 }
 
 // recordTraffic counts one home-side request from src against page g.
 func (c *Controller) recordTraffic(g mem.GPage, src mem.NodeID) {
-	if c.pageTraffic == nil {
-		c.pageTraffic = make(map[mem.GPage][]uint32)
+	t := c.pageTraffic.Ensure(g)
+	if *t == nil {
+		*t = make([]uint32, c.net.Nodes())
 	}
-	t := c.pageTraffic[g]
-	if t == nil {
-		t = make([]uint32, c.net.Nodes())
-		c.pageTraffic[g] = t
-	}
-	t[src]++
+	(*t)[src]++
 }
 
 // PageTraffic is one page's per-node coherence traffic at its home.
@@ -114,9 +97,9 @@ type PageTraffic struct {
 // minTotal, hottest first (deterministic order).
 func (c *Controller) HotPages(minTotal uint64) []PageTraffic {
 	var out []PageTraffic
-	for g, t := range c.pageTraffic {
-		pt := PageTraffic{Page: g, ByNode: t}
-		for n, v := range t {
+	c.pageTraffic.Range(func(g mem.GPage, t *[]uint32) {
+		pt := PageTraffic{Page: g, ByNode: *t}
+		for n, v := range *t {
 			if mem.NodeID(n) != c.node {
 				pt.Total += uint64(v)
 			}
@@ -124,21 +107,15 @@ func (c *Controller) HotPages(minTotal uint64) []PageTraffic {
 		if pt.Total >= minTotal {
 			out = append(out, pt)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		if out[i].Page.Seg != out[j].Page.Seg {
-			return out[i].Page.Seg < out[j].Page.Seg
-		}
-		return out[i].Page.Page < out[j].Page.Page
 	})
+	// Range yields ascending (seg, page), so a stable sort by traffic
+	// keeps that order among equal totals.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Total > out[j].Total })
 	return out
 }
 
 // ResetTraffic clears the migration counters.
-func (c *Controller) ResetTraffic() { c.pageTraffic = nil }
+func (c *Controller) ResetTraffic() { c.pageTraffic.Clear() }
 
 // SetClientTags sets frame f's fine-grain tags from the directory
 // snapshot when a home demotes to a client during migration: Exclusive

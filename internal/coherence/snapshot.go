@@ -113,13 +113,6 @@ func (c *Controller) QuiesceBlocker() string {
 	return ""
 }
 
-func gpLess(aSeg mem.GSID, aPage uint32, bSeg mem.GSID, bPage uint32) bool {
-	if aSeg != bSeg {
-		return aSeg < bSeg
-	}
-	return aPage < bPage
-}
-
 // ExportState captures the controller. It panics if the controller is
 // not quiescent.
 func (c *Controller) ExportState() ControllerState {
@@ -132,56 +125,41 @@ func (c *Controller) ExportState() ControllerState {
 		SyncStats:  c.SyncStats,
 		Stats:      c.Stats,
 	}
-	for g, byNode := range c.clientFrames {
+	// The page tables iterate in ascending (seg, page) order.
+	c.clientFrames.Range(func(g mem.GPage, byNode *map[mem.NodeID]mem.FrameID) {
 		ph := PageHintsState{Seg: g.Seg, Page: g.Page}
-		for n, f := range byNode {
+		for n, f := range *byNode {
 			ph.Hints = append(ph.Hints, ClientFrameHint{Node: n, Frame: f})
 		}
 		sort.Slice(ph.Hints, func(i, j int) bool { return ph.Hints[i].Node < ph.Hints[j].Node })
 		s.ClientFrames = append(s.ClientFrames, ph)
-	}
-	sort.Slice(s.ClientFrames, func(i, j int) bool {
-		return gpLess(s.ClientFrames[i].Seg, s.ClientFrames[i].Page, s.ClientFrames[j].Seg, s.ClientFrames[j].Page)
 	})
-	for g, n := range c.migratedTo {
-		s.MigratedTo = append(s.MigratedTo, MigratedToState{Seg: g.Seg, Page: g.Page, Node: n})
-	}
-	sort.Slice(s.MigratedTo, func(i, j int) bool {
-		return gpLess(s.MigratedTo[i].Seg, s.MigratedTo[i].Page, s.MigratedTo[j].Seg, s.MigratedTo[j].Page)
+	c.migratedTo.Range(func(g mem.GPage, n *mem.NodeID) {
+		s.MigratedTo = append(s.MigratedTo, MigratedToState{Seg: g.Seg, Page: g.Page, Node: *n})
 	})
-	for g, counts := range c.pageTraffic {
-		s.PageTraffic = append(s.PageTraffic, PageTrafficState{Seg: g.Seg, Page: g.Page, Counts: append([]uint32(nil), counts...)})
-	}
-	sort.Slice(s.PageTraffic, func(i, j int) bool {
-		return gpLess(s.PageTraffic[i].Seg, s.PageTraffic[i].Page, s.PageTraffic[j].Seg, s.PageTraffic[j].Page)
+	c.pageTraffic.Range(func(g mem.GPage, counts *[]uint32) {
+		s.PageTraffic = append(s.PageTraffic, PageTrafficState{Seg: g.Seg, Page: g.Page, Counts: append([]uint32(nil), *counts...)})
 	})
-	for k, l := range c.hwLocks {
-		s.HWLocks = append(s.HWLocks, HWLockState{Seg: k.page.Seg, Page: k.page.Page, Line: k.line, Held: l.held, Holder: l.holder})
+	// The line-keyed maps stay maps; sorting the packed keys orders
+	// them by (seg, page, line).
+	for _, k := range sortedKeys(c.hwLocks) {
+		l := c.hwLocks[k]
+		s.HWLocks = append(s.HWLocks, HWLockState{Seg: k.page().Seg, Page: k.page().Page, Line: k.line(), Held: l.held, Holder: l.holder})
 	}
-	sort.Slice(s.HWLocks, func(i, j int) bool {
-		a, b := s.HWLocks[i], s.HWLocks[j]
-		if a.Seg != b.Seg {
-			return a.Seg < b.Seg
-		}
-		if a.Page != b.Page {
-			return a.Page < b.Page
-		}
-		return a.Line < b.Line
-	})
-	for k, t := range c.home {
-		s.HomeTails = append(s.HomeTails, HomeTailState{Seg: k.page.Seg, Page: k.page.Page, Line: k.line, NeedAcks: t.needAcks})
+	for _, k := range sortedKeys(c.home) {
+		s.HomeTails = append(s.HomeTails, HomeTailState{Seg: k.page().Seg, Page: k.page().Page, Line: k.line(), NeedAcks: c.home[k].needAcks})
 	}
-	sort.Slice(s.HomeTails, func(i, j int) bool {
-		a, b := s.HomeTails[i], s.HomeTails[j]
-		if a.Seg != b.Seg {
-			return a.Seg < b.Seg
-		}
-		if a.Page != b.Page {
-			return a.Page < b.Page
-		}
-		return a.Line < b.Line
-	})
 	return s
+}
+
+// sortedKeys returns a line-keyed map's keys in ascending order.
+func sortedKeys[V any](m map[lineKey]V) []lineKey {
+	keys := make([]lineKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
 }
 
 // ImportState restores the controller over a freshly built machine.
@@ -193,39 +171,30 @@ func (c *Controller) ImportState(s ControllerState) {
 	c.client = make(map[lineKey]*clientTxn)
 	c.home = make(map[lineKey]*homeTxn)
 	for _, t := range s.HomeTails {
-		c.home[lineKey{page: mem.GPage{Seg: t.Seg, Page: t.Page}, line: t.Line}] = &homeTxn{needAcks: t.NeedAcks}
+		c.home[mkLineKey(mem.GPage{Seg: t.Seg, Page: t.Page}, t.Line)] = &homeTxn{needAcks: t.NeedAcks}
 	}
 	c.homeQ = make(map[lineKey][]func())
 	c.flushWait = make(map[uint64]func(at sim.Time))
 	c.held = nil
 	c.lockWait = nil
-	c.clientFrames = make(map[mem.GPage]map[mem.NodeID]mem.FrameID, len(s.ClientFrames))
+	c.clientFrames.Clear()
 	for _, ph := range s.ClientFrames {
 		byNode := make(map[mem.NodeID]mem.FrameID, len(ph.Hints))
 		for _, h := range ph.Hints {
 			byNode[h.Node] = h.Frame
 		}
-		c.clientFrames[mem.GPage{Seg: ph.Seg, Page: ph.Page}] = byNode
+		c.clientFrames.Set(mem.GPage{Seg: ph.Seg, Page: ph.Page}, byNode)
 	}
-	c.migratedTo = nil
-	if len(s.MigratedTo) > 0 {
-		c.migratedTo = make(map[mem.GPage]mem.NodeID, len(s.MigratedTo))
-		for _, e := range s.MigratedTo {
-			c.migratedTo[mem.GPage{Seg: e.Seg, Page: e.Page}] = e.Node
-		}
+	c.migratedTo.Clear()
+	for _, e := range s.MigratedTo {
+		c.migratedTo.Set(mem.GPage{Seg: e.Seg, Page: e.Page}, e.Node)
 	}
-	c.pageTraffic = nil
-	if len(s.PageTraffic) > 0 {
-		c.pageTraffic = make(map[mem.GPage][]uint32, len(s.PageTraffic))
-		for _, e := range s.PageTraffic {
-			c.pageTraffic[mem.GPage{Seg: e.Seg, Page: e.Page}] = append([]uint32(nil), e.Counts...)
-		}
+	c.pageTraffic.Clear()
+	for _, e := range s.PageTraffic {
+		c.pageTraffic.Set(mem.GPage{Seg: e.Seg, Page: e.Page}, append([]uint32(nil), e.Counts...))
 	}
-	c.hwLocks = nil
-	if len(s.HWLocks) > 0 {
-		c.hwLocks = make(map[lineKey]*hwLock, len(s.HWLocks))
-		for _, e := range s.HWLocks {
-			c.hwLocks[lineKey{page: mem.GPage{Seg: e.Seg, Page: e.Page}, line: e.Line}] = &hwLock{held: e.Held, holder: e.Holder}
-		}
+	c.hwLocks = make(map[lineKey]*hwLock, len(s.HWLocks))
+	for _, e := range s.HWLocks {
+		c.hwLocks[mkLineKey(mem.GPage{Seg: e.Seg, Page: e.Page}, e.Line)] = &hwLock{held: e.Held, holder: e.Holder}
 	}
 }

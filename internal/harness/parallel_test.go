@@ -42,7 +42,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestWorkersResolution pins the -j semantics: 0 means all host
-// cores, 1 means the sequential path (what -seq forces).
+// cores, 1 means the sequential path (one worker runs every cell).
 func TestWorkersResolution(t *testing.T) {
 	o := Options{}
 	if w := o.workers(); w < 1 {

@@ -11,7 +11,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"prism/internal/coherence"
 	"prism/internal/ipc"
@@ -124,6 +123,22 @@ type frameBinding struct {
 	busy   bool // page-out in progress
 }
 
+// frameKey files frame f in the kernel's frame table: real frames in
+// row 0 and imaginary frames in row 1, split at imagBase like the PIT's
+// frame table, so both rows stay dense and the table's ascending order
+// is ascending FrameID.
+func frameKey(f mem.FrameID) mem.GPage {
+	if f < imagBase {
+		return mem.GPage{Page: uint32(f)}
+	}
+	return mem.GPage{Seg: 1, Page: uint32(f - imagBase)}
+}
+
+// keyFrame inverts frameKey.
+func keyFrame(k mem.GPage) mem.FrameID {
+	return mem.FrameID(k.Seg)*imagBase + mem.FrameID(k.Page)
+}
+
 type homePage struct {
 	frame mem.FrameID
 	// known and mapped are node sets (same convention as
@@ -134,16 +149,6 @@ type homePage struct {
 }
 
 type faultCont func(at sim.Time, f mem.FrameID, ok bool)
-
-// DebugPageBusy, when non-nil, observes page-busy transitions (used by
-// protocol debugging tests).
-var DebugPageBusy func(node mem.NodeID, g mem.GPage, ev string)
-
-func (k *Kernel) dbgPB(g mem.GPage, ev string) {
-	if DebugPageBusy != nil {
-		DebugPageBusy(k.node, g, fmt.Sprintf("%s t=%d", ev, k.e.Now()))
-	}
-}
 
 // Kernel is one node's OS kernel.
 type Kernel struct {
@@ -173,33 +178,32 @@ type Kernel struct {
 
 	clientSCOMA     int
 	clientSCOMAHigh int
-	frames          map[mem.FrameID]*frameBinding
+	frames          mem.PageTable[frameBinding] // keyed by frameKey
 
 	// Per-page client-side state.
-	pageMode      map[mem.GPage]pit.Mode // sticky mode (absent = S-COMA preferred)
-	homeStatus    map[mem.GPage]bool     // home-page-status flags
-	homeFrameHint map[mem.GPage]mem.FrameID
-	dynHomeHint   map[mem.GPage]mem.NodeID
+	pageMode      mem.PageTable[pit.Mode] // sticky mode (absent = S-COMA preferred)
+	homeStatus    mem.PageTable[struct{}] // home-page-status flags
+	homeFrameHint mem.PageTable[mem.FrameID]
+	dynHomeHint   mem.PageTable[mem.NodeID]
 
 	// In-flight bookkeeping.
 	inProgress map[mem.VPage][]faultCont
-	pageBusy   map[mem.GPage][]func()
-	pendingIn  map[mem.GPage][]func(at sim.Time, resp *PageInResp)
+	pageBusy   mem.PageTable[[]func()]
+	pendingIn  mem.PageTable[[]func(at sim.Time, resp *PageInResp)]
 
 	// Home-side state.
-	homePages map[mem.GPage]*homePage
-	unmapWait map[mem.GPage]*unmapTxn
+	homePages mem.PageTable[*homePage]
+	unmapWait mem.PageTable[*unmapTxn]
 
 	// Migration state (§3.5). migrating and migratedAway live at the
 	// static home; dynPages records pages adopted as dynamic home.
-	migrating    map[mem.GPage]func(at sim.Time)
-	migratedAway map[mem.GPage]migRecord
-	dynPages     map[mem.GPage]mem.FrameID
+	migrating    mem.PageTable[func(at sim.Time)]
+	migratedAway mem.PageTable[migRecord]
+	dynPages     mem.PageTable[mem.FrameID]
 
-	// Free lists for the steady-state paging protocol: frame bindings
-	// and the four paging message types recycle instead of allocating
-	// (released on delivery, mirroring the pooled-event pattern).
-	fbPool         pool.Free[frameBinding]
+	// Free lists for the four paging message types, which recycle
+	// instead of allocating (released on delivery, mirroring the
+	// pooled-event pattern).
 	poolPageInReq  pool.Free[PageInReq]
 	poolPageInResp pool.Free[PageInResp]
 	poolUnmapReq   pool.Free[HomeUnmapReq]
@@ -208,7 +212,6 @@ type Kernel struct {
 	// Reused scratch buffers (contents valid until the next call of
 	// the method that fills them).
 	clientScratch []mem.NodeID
-	victimScratch []mem.FrameID
 
 	Stats Stats
 
@@ -236,20 +239,11 @@ func New(e *sim.Engine, node mem.NodeID, geom mem.Geometry, tm *timing.T, cfg Co
 	return &Kernel{
 		e: e, node: node, geom: geom, tm: tm, cfg: cfg,
 		reg: reg, net: net, pol: pol,
-		attach:        make(map[mem.VSID]attachInfo),
-		pt:            make(map[mem.VPage]PTE),
-		tlb:           newSoftTLB(),
-		nextImag:      imagBase,
-		frames:        make(map[mem.FrameID]*frameBinding),
-		pageMode:      make(map[mem.GPage]pit.Mode),
-		homeStatus:    make(map[mem.GPage]bool),
-		homeFrameHint: make(map[mem.GPage]mem.FrameID),
-		dynHomeHint:   make(map[mem.GPage]mem.NodeID),
-		inProgress:    make(map[mem.VPage][]faultCont),
-		pageBusy:      make(map[mem.GPage][]func()),
-		pendingIn:     make(map[mem.GPage][]func(sim.Time, *PageInResp)),
-		homePages:     make(map[mem.GPage]*homePage),
-		unmapWait:     make(map[mem.GPage]*unmapTxn),
+		attach:     make(map[mem.VSID]attachInfo),
+		pt:         make(map[mem.VPage]PTE),
+		tlb:        newSoftTLB(),
+		nextImag:   imagBase,
+		inProgress: make(map[mem.VPage][]faultCont),
 	}
 }
 
@@ -269,12 +263,12 @@ func (k *Kernel) Bind(ctrl *coherence.Controller, hw NodeHW) {
 // so its next fault allocates an S-COMA frame (which may in turn evict
 // a colder page under the forward policy).
 func (k *Kernel) convertToSCOMA(f mem.FrameID) {
-	fb := k.frames[f]
+	fb := k.frame(f)
 	if fb == nil || f < imagBase {
 		return // raced with an unmap or conversion
 	}
 	g := fb.page
-	if _, busy := k.pageBusy[g]; busy {
+	if k.pageBusy.Has(g) {
 		return
 	}
 	if _, faulting := k.inProgress[fb.vp]; faulting {
@@ -340,22 +334,18 @@ func (k *Kernel) ptDelete(vp mem.VPage) {
 	k.tlb.invalidate(vp)
 }
 
-// bindFrame records frame f's binding using a pooled frameBinding.
-func (k *Kernel) bindFrame(f mem.FrameID, vp mem.VPage, g mem.GPage, client bool) *frameBinding {
-	fb := k.fbPool.Get()
-	fb.vp, fb.page, fb.client = vp, g, client
-	k.frames[f] = fb
-	return fb
+// frame returns frame f's binding, or nil if f is unbound. The pointer
+// is valid until f is unbound.
+func (k *Kernel) frame(f mem.FrameID) *frameBinding { return k.frames.Ptr(frameKey(f)) }
+
+// bindFrame records frame f's binding.
+func (k *Kernel) bindFrame(f mem.FrameID, vp mem.VPage, g mem.GPage, client bool) {
+	k.frames.Set(frameKey(f), frameBinding{vp: vp, page: g, client: client})
 }
 
-// unbindFrame drops frame f's binding and recycles it. Callers that
-// still need the binding's fields must read them first (Put zeroes).
-func (k *Kernel) unbindFrame(f mem.FrameID) {
-	if fb := k.frames[f]; fb != nil {
-		delete(k.frames, f)
-		k.fbPool.Put(fb)
-	}
-}
+// unbindFrame drops frame f's binding. Callers that still need the
+// binding's fields must read them first (the slot is zeroed).
+func (k *Kernel) unbindFrame(f mem.FrameID) { k.frames.Delete(frameKey(f)) }
 
 // GlobalPage translates a virtual page to its global page, if vp
 // belongs to an attached global segment.
@@ -491,9 +481,8 @@ func (k *Kernel) HandleFault(vp mem.VPage, done faultCont) {
 	g := mem.GPage{Seg: info.gsid, Page: vp.Page}
 
 	// A page-out of this very page may be in flight; wait for it.
-	if _, busy := k.pageBusy[g]; busy {
-		k.dbgPB(g, "defer-fault")
-		k.pageBusy[g] = append(k.pageBusy[g], func() {
+	if waiters := k.pageBusy.Ptr(g); waiters != nil {
+		*waiters = append(*waiters, func() {
 			t := k.inProgress[vp]
 			delete(k.inProgress, vp)
 			k.HandleFault(vp, done)
@@ -504,20 +493,20 @@ func (k *Kernel) HandleFault(vp mem.VPage, done faultCont) {
 	}
 
 	if k.reg.StaticHome(g) == k.node {
-		if rec, away := k.migratedAway[g]; away {
+		if rec, away := k.migratedAway.Get(g); away {
 			// The dynamic home moved elsewhere: this node faults as a
 			// client of it.
 			k.Stats.ClientFaults++
-			k.homeStatus[g] = true // the page is in-core at its home by invariant
-			k.dynHomeHint[g] = rec.node
-			k.homeFrameHint[g] = rec.frame
+			k.homeStatus.Set(g, struct{}{}) // the page is in-core at its home by invariant
+			k.dynHomeHint.Set(g, rec.node)
+			k.homeFrameHint.Set(g, rec.frame)
 			k.clientFault(vp, g, finish)
 			return
 		}
-		if f, ok := k.dynPages[g]; ok {
+		if f, ok := k.dynPages.Get(g); ok {
 			// Adopted dynamic home: the page is already mapped here.
 			k.ptSet(vp, PTE{Frame: f, Mode: pit.ModeSCOMA})
-			if fb := k.frames[f]; fb != nil {
+			if fb := k.frame(f); fb != nil {
 				fb.vp = vp
 			}
 			k.Stats.HomeFaults++
@@ -527,7 +516,7 @@ func (k *Kernel) HandleFault(vp mem.VPage, done faultCont) {
 		k.Stats.HomeFaults++
 		f := k.mapAtHome(g)
 		mode := pit.ModeSCOMA
-		if k.pageMode[g] == pit.ModeSync {
+		if k.PageModeOf(g) == pit.ModeSync {
 			mode = pit.ModeSync
 		}
 		k.ptSet(vp, PTE{Frame: f, Mode: mode})
@@ -536,11 +525,11 @@ func (k *Kernel) HandleFault(vp mem.VPage, done faultCont) {
 	}
 
 	k.Stats.ClientFaults++
-	if f, ok := k.dynPages[g]; ok {
+	if f, ok := k.dynPages.Get(g); ok {
 		// This node adopted the page as its dynamic home even though
 		// its static home is elsewhere: map directly.
 		k.ptSet(vp, PTE{Frame: f, Mode: pit.ModeSCOMA})
-		if fb := k.frames[f]; fb != nil {
+		if fb := k.frame(f); fb != nil {
 			fb.vp = vp
 		}
 		finish(k.e.Now()+k.tm.PFKernelLocal, f, true)
@@ -553,17 +542,17 @@ func (k *Kernel) HandleFault(vp mem.VPage, done faultCont) {
 // its frame. Fine-grain tags initialize to Exclusive and the directory
 // entries to exclusive-at-home (§3.3).
 func (k *Kernel) mapAtHome(g mem.GPage) mem.FrameID {
-	if hp, ok := k.homePages[g]; ok {
+	if hp, ok := k.homePages.Get(g); ok {
 		return hp.frame
 	}
-	if f, ok := k.dynPages[g]; ok {
+	if f, ok := k.dynPages.Get(g); ok {
 		// The page migrated away and back: it lives in the adopted
 		// set with its directory intact.
 		return f
 	}
 	f := k.allocReal()
 	mode := pit.ModeSCOMA
-	if k.pageMode[g] == pit.ModeSync {
+	if k.PageModeOf(g) == pit.ModeSync {
 		mode = pit.ModeSync
 	}
 	ent := pit.Entry{
@@ -578,7 +567,7 @@ func (k *Kernel) mapAtHome(g mem.GPage) mem.FrameID {
 	k.ctrl.PIT.Insert(f, ent)
 	k.ctrl.Dir.AddPage(g, k.node)
 	k.bindFrame(f, mem.VPage{}, g, false)
-	k.homePages[g] = &homePage{frame: f}
+	k.homePages.Set(g, &homePage{frame: f})
 	return f
 }
 
@@ -587,7 +576,7 @@ func (k *Kernel) mapAtHome(g mem.GPage) mem.FrameID {
 // [allocate frame, bind PIT and page table].
 func (k *Kernel) clientFault(vp mem.VPage, g mem.GPage, finish faultCont) {
 	var dec policy.Decision
-	switch k.pageMode[g] {
+	switch k.PageModeOf(g) {
 	case pit.ModeLANUMA:
 		// The page was converted: future faults use imaginary frames
 		// without consulting the policy (§4.2).
@@ -601,19 +590,18 @@ func (k *Kernel) clientFault(vp mem.VPage, g mem.GPage, finish faultCont) {
 	}
 
 	bind := func(at sim.Time) {
-		k.dbgPB(g, "bind")
 		var f mem.FrameID
 		ent := pit.Entry{
 			Mode: dec.Mode, GPage: g,
 			StaticHome: k.reg.StaticHome(g),
 			Caps:       mem.AllNodes(),
 		}
-		if dh, ok := k.dynHomeHint[g]; ok {
+		if dh, ok := k.dynHomeHint.Get(g); ok {
 			ent.DynHome = dh
 		} else {
 			ent.DynHome = ent.StaticHome
 		}
-		if hf, ok := k.homeFrameHint[g]; ok {
+		if hf, ok := k.homeFrameHint.Get(g); ok {
 			ent.HomeFrame = hf
 			ent.HomeFrameKnown = true
 		}
@@ -634,7 +622,7 @@ func (k *Kernel) clientFault(vp mem.VPage, g mem.GPage, finish faultCont) {
 	}
 
 	pageIn := func(at sim.Time) {
-		if k.homeStatus[g] && !k.cfg.NoHomeFlags {
+		if k.homeStatus.Has(g) && !k.cfg.NoHomeFlags {
 			// Home-page-status flag set: the page is known in-core at
 			// the home; skip the round trip (§3.3 optimization).
 			k.Stats.FlagHits++
@@ -642,11 +630,12 @@ func (k *Kernel) clientFault(vp mem.VPage, g mem.GPage, finish faultCont) {
 			return
 		}
 		k.Stats.PageInMsgs++
-		first := len(k.pendingIn[g]) == 0
-		k.pendingIn[g] = append(k.pendingIn[g], func(rt sim.Time, resp *PageInResp) {
-			k.homeStatus[g] = true
-			k.homeFrameHint[g] = resp.HomeFrame
-			k.dynHomeHint[g] = resp.DynHome
+		conts := k.pendingIn.Ensure(g)
+		first := len(*conts) == 0
+		*conts = append(*conts, func(rt sim.Time, resp *PageInResp) {
+			k.homeStatus.Set(g, struct{}{})
+			k.homeFrameHint.Set(g, resp.HomeFrame)
+			k.dynHomeHint.Set(g, resp.DynHome)
 			bind(rt)
 		})
 		if first {
@@ -673,23 +662,21 @@ func (k *Kernel) clientFault(vp mem.VPage, g mem.GPage, finish faultCont) {
 // client from the home's directory, frees the frame, and optionally
 // converts the page to LA-NUMA mode for its future faults here.
 func (k *Kernel) pageOutClient(f mem.FrameID, convert bool, done func(at sim.Time)) {
-	fb := k.frames[f]
+	fb := k.frame(f)
 	if fb == nil || !fb.client || fb.busy {
 		panic(fmt.Sprintf("kernel: node %d: bad page-out victim %d", k.node, f))
 	}
 	fb.busy = true
 	g := fb.page
-	k.dbgPB(g, fmt.Sprintf("pageout-call f=%d", f))
 	k.Stats.ClientPageOuts++
 	if convert {
-		k.pageMode[g] = pit.ModeLANUMA
+		k.pageMode.Set(g, pit.ModeLANUMA)
 		k.Stats.Conversions++
 	}
-	if _, exists := k.pageBusy[g]; exists {
+	if k.pageBusy.Has(g) {
 		panic(fmt.Sprintf("kernel: node %d: page %v already paging out (victim frame %d, binding %+v, t=%d)", k.node, g, f, *fb, k.e.Now()))
 	}
-	k.dbgPB(g, "pageout-start")
-	k.pageBusy[g] = nil
+	k.pageBusy.Set(g, nil)
 
 	// Stop new accesses: unmap before flushing.
 	k.ptDelete(fb.vp)
@@ -709,13 +696,12 @@ func (k *Kernel) pageOutClient(f mem.FrameID, convert bool, done func(at sim.Tim
 			return
 		}
 		k.ctrl.FlushPage(f, true, func(at sim.Time) {
-			k.dbgPB(g, "pageout-done")
 			ent := k.ctrl.PIT.Remove(f)
 			k.unbindFrame(f)
 			k.clientSCOMA--
 			k.freeFrame(f, ent)
-			waiters := k.pageBusy[g]
-			delete(k.pageBusy, g)
+			waiters, _ := k.pageBusy.Get(g)
+			k.pageBusy.Delete(g)
 			done(at)
 			for _, w := range waiters {
 				w()
@@ -730,27 +716,22 @@ func (k *Kernel) pageOutClient(f mem.FrameID, convert bool, done func(at sim.Tim
 // binding. Used when converting a page between modes at this node
 // ("paging out the page and setting its mode", §3.3) and by tests.
 func (k *Kernel) ReleaseLANUMA(f mem.FrameID, newMode pit.Mode, done func(at sim.Time)) {
-	fb := k.frames[f]
+	fb := k.frame(f)
 	if fb == nil || f < imagBase {
 		panic(fmt.Sprintf("kernel: node %d: ReleaseLANUMA of non-imaginary frame %d", k.node, f))
 	}
 	g := fb.page
 	k.ptDelete(fb.vp)
 	k.hw.TLBShootdown(fb.vp)
-	k.dbgPB(g, "release-start")
-	k.pageBusy[g] = nil
-	if newMode == pit.ModeSCOMA {
-		delete(k.pageMode, g)
-	} else {
-		k.pageMode[g] = newMode
-	}
+	k.pageBusy.Set(g, nil)
+	k.SetPageMode(g, newMode)
 	k.e.Schedule(k.tm.PageOutKernel, func() {
 		k.ctrl.FlushPage(f, true, func(at sim.Time) {
 			ent := k.ctrl.PIT.Remove(f)
 			k.unbindFrame(f)
 			k.freeFrame(f, ent)
-			waiters := k.pageBusy[g]
-			delete(k.pageBusy, g)
+			waiters, _ := k.pageBusy.Get(g)
+			k.pageBusy.Delete(g)
 			done(at)
 			for _, w := range waiters {
 				w()
@@ -769,58 +750,39 @@ func (k *Kernel) ClientSCOMAFrames() int { return k.clientSCOMA }
 // PageCacheCap implements policy.View.
 func (k *Kernel) PageCacheCap() int { return k.cfg.PageCacheCap }
 
-// victimCandidates returns evictable client S-COMA frames in
-// deterministic order. The returned slice is a reused scratch buffer,
-// valid until the next call.
-func (k *Kernel) victimCandidates() []mem.FrameID {
-	out := k.victimScratch[:0]
-	for f, fb := range k.frames {
+// victim returns the evictable client S-COMA frame that wins under
+// better, which reports whether a candidate's PIT entry beats the best
+// so far. Frames are visited in ascending FrameID order, so ties go to
+// the lowest frame.
+func (k *Kernel) victim(better func(cand, best *pit.Entry) bool) (mem.FrameID, bool) {
+	var best mem.FrameID
+	var bestEnt *pit.Entry
+	k.frames.Range(func(key mem.GPage, fb *frameBinding) {
 		if !fb.client || fb.busy {
-			continue
+			return
 		}
+		f := keyFrame(key)
 		ent := k.ctrl.PIT.Entry(f)
 		if ent == nil || ent.Mode != pit.ModeSCOMA || ent.InTransit() {
-			continue
+			return
 		}
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	k.victimScratch = out
-	return out
+		if bestEnt == nil || better(ent, bestEnt) {
+			best, bestEnt = f, ent
+		}
+	})
+	return best, bestEnt != nil
 }
 
 // LRUVictim implements policy.View: least-recently-used by local bus
 // accesses to the frame.
 func (k *Kernel) LRUVictim() (mem.FrameID, bool) {
-	cands := k.victimCandidates()
-	if len(cands) == 0 {
-		return 0, false
-	}
-	best := cands[0]
-	bestT := k.ctrl.PIT.Entry(best).LastAccess
-	for _, f := range cands[1:] {
-		if t := k.ctrl.PIT.Entry(f).LastAccess; t < bestT {
-			best, bestT = f, t
-		}
-	}
-	return best, true
+	return k.victim(func(cand, best *pit.Entry) bool { return cand.LastAccess < best.LastAccess })
 }
 
 // MostInvalidVictim implements policy.View: the frame with the most
 // fine-grain tags in Invalid state (a controller query).
 func (k *Kernel) MostInvalidVictim() (mem.FrameID, bool) {
-	cands := k.victimCandidates()
-	if len(cands) == 0 {
-		return 0, false
-	}
-	best := cands[0]
-	bestN := k.ctrl.PIT.Entry(best).InvalidLines()
-	for _, f := range cands[1:] {
-		if n := k.ctrl.PIT.Entry(f).InvalidLines(); n > bestN {
-			best, bestN = f, n
-		}
-	}
-	return best, true
+	return k.victim(func(cand, best *pit.Entry) bool { return cand.InvalidLines() > best.InvalidLines() })
 }
 
 // ---------------------------------------------------------------------------
@@ -831,7 +793,7 @@ func (k *Kernel) MostInvalidVictim() (mem.FrameID, bool) {
 // Drop arrived; it no longer maps the page (it stays "known" — its
 // home-page-status flag remains valid until we unmap).
 func (k *Kernel) ClientDropped(g mem.GPage, src mem.NodeID) {
-	if hp, ok := k.homePages[g]; ok {
+	if hp, ok := k.homePages.Get(g); ok {
 		hp.mapped.Drop(src)
 	}
 }
@@ -850,8 +812,8 @@ func (k *Kernel) Deliver(src mem.NodeID, msg network.Message) bool {
 		k.poolPageInReq.Put(m)
 	case *PageInResp:
 		k.Stats.MsgPageInResp++
-		conts := k.pendingIn[m.Page]
-		delete(k.pendingIn, m.Page)
+		conts, _ := k.pendingIn.Get(m.Page)
+		k.pendingIn.Delete(m.Page)
 		at := k.e.Now()
 		for _, c := range conts {
 			c(at, m)
@@ -945,7 +907,7 @@ func (k *Kernel) handlePageIn(src mem.NodeID, m *PageInReq) {
 		panic(fmt.Sprintf("kernel: node %d got PageInReq for %v homed at %d", k.node, m.Page, k.reg.StaticHome(m.Page)))
 	}
 	t := k.e.Now() + k.tm.PFHomeService
-	if rec, away := k.migratedAway[m.Page]; away {
+	if rec, away := k.migratedAway.Get(m.Page); away {
 		// The dynamic home moved: it keeps the page in-core by the
 		// migration invariant, so the static home answers directly.
 		resp := k.poolPageInResp.Get()
@@ -954,7 +916,7 @@ func (k *Kernel) handlePageIn(src mem.NodeID, m *PageInReq) {
 		return
 	}
 	f := k.mapAtHome(m.Page)
-	if hp := k.homePages[m.Page]; hp != nil {
+	if hp, ok := k.homePages.Get(m.Page); ok {
 		hp.known.Add(src)
 		hp.mapped.Add(src)
 	}
@@ -968,17 +930,17 @@ func (k *Kernel) handlePageIn(src mem.NodeID, m *PageInReq) {
 // home removes the page (writing it "to disk" — modeled as kernel
 // cost) and frees the frame. done runs when complete.
 func (k *Kernel) EvictHomePage(g mem.GPage, done func(at sim.Time)) error {
-	if _, away := k.migratedAway[g]; away {
+	if k.migratedAway.Has(g) {
 		return fmt.Errorf("kernel: %v migrated away; migrate it back before a home page-out", g)
 	}
-	if _, busy := k.migrating[g]; busy {
+	if k.migrating.Has(g) {
 		return fmt.Errorf("kernel: %v is migrating", g)
 	}
-	hp, ok := k.homePages[g]
+	hp, ok := k.homePages.Get(g)
 	if !ok {
 		return fmt.Errorf("kernel: node %d is not home of a mapped %v", k.node, g)
 	}
-	if _, busy := k.unmapWait[g]; busy {
+	if k.unmapWait.Has(g) {
 		return fmt.Errorf("kernel: node %d: %v already being unmapped", k.node, g)
 	}
 	k.Stats.HomePageOuts++
@@ -998,7 +960,7 @@ func (k *Kernel) EvictHomePage(g mem.GPage, done func(at sim.Time)) error {
 		k.ctrl.Dir.RemovePage(g)
 		k.unbindFrame(hp.frame)
 		k.freeFrame(hp.frame, ent)
-		delete(k.homePages, g)
+		k.homePages.Delete(g)
 		done(at + k.tm.PageOutKernel)
 	}
 
@@ -1006,7 +968,7 @@ func (k *Kernel) EvictHomePage(g mem.GPage, done func(at sim.Time)) error {
 		k.e.ScheduleCall(k.tm.PageOutKernel, finish)
 		return nil
 	}
-	k.unmapWait[g] = &unmapTxn{needAcks: len(clients), done: finish}
+	k.unmapWait.Set(g, &unmapTxn{needAcks: len(clients), done: finish})
 	t := k.e.Now() + k.tm.PageOutKernel
 	for _, c := range clients {
 		req := k.poolUnmapReq.Get()
@@ -1020,9 +982,9 @@ func (k *Kernel) handleHomeUnmapReq(src mem.NodeID, m *HomeUnmapReq) {
 	g := m.Page
 	// Reset the flag regardless (§3.3: "when the home node unmaps a
 	// page, it requests all client nodes to reset that page's flag").
-	delete(k.homeStatus, g)
-	delete(k.homeFrameHint, g)
-	delete(k.dynHomeHint, g)
+	k.homeStatus.Delete(g)
+	k.homeFrameHint.Delete(g)
+	k.dynHomeHint.Delete(g)
 
 	ack := func(at sim.Time) {
 		resp := k.poolUnmapAck.Get()
@@ -1035,7 +997,7 @@ func (k *Kernel) handleHomeUnmapReq(src mem.NodeID, m *HomeUnmapReq) {
 		ack(k.e.Now())
 		return
 	}
-	fb := k.frames[f]
+	fb := k.frame(f)
 	if fb == nil || fb.busy {
 		ack(k.e.Now())
 		return
@@ -1050,13 +1012,13 @@ func (k *Kernel) handleHomeUnmapReq(src mem.NodeID, m *HomeUnmapReq) {
 }
 
 func (k *Kernel) handleHomeUnmapAck(src mem.NodeID, m *HomeUnmapAck) {
-	txn := k.unmapWait[m.Page]
+	txn, _ := k.unmapWait.Get(m.Page)
 	if txn == nil {
 		return
 	}
 	txn.needAcks--
 	if txn.needAcks == 0 {
-		delete(k.unmapWait, m.Page)
+		k.unmapWait.Delete(m.Page)
 		txn.done(k.e.Now())
 	}
 }
@@ -1074,15 +1036,18 @@ func (k *Kernel) MaxClientSCOMA() int { return k.clientSCOMAHigh }
 
 // PageModeOf returns the page's sticky mode at this node (ModeInvalid
 // means unset — S-COMA preferred).
-func (k *Kernel) PageModeOf(g mem.GPage) pit.Mode { return k.pageMode[g] }
+func (k *Kernel) PageModeOf(g mem.GPage) pit.Mode {
+	m, _ := k.pageMode.Get(g)
+	return m
+}
 
 // SetPageMode pins a page's mode at this node (the user-facing system
 // call of §3.3 "Page Mode Binding": the OS also provides a system call
 // for the user to suggest the desired mode).
 func (k *Kernel) SetPageMode(g mem.GPage, m pit.Mode) {
 	if m == pit.ModeSCOMA {
-		delete(k.pageMode, g)
+		k.pageMode.Delete(g)
 	} else {
-		k.pageMode[g] = m
+		k.pageMode.Set(g, m)
 	}
 }

@@ -52,7 +52,7 @@ func (k *Kernel) MigratePage(g mem.GPage, to mem.NodeID, done func(at sim.Time))
 	if k.reg.StaticHome(g) != k.node {
 		return fmt.Errorf("kernel: node %d is not the static home of %v", k.node, g)
 	}
-	if _, busy := k.migrating[g]; busy {
+	if k.migrating.Has(g) {
 		return fmt.Errorf("kernel: %v is already migrating", g)
 	}
 	cur := k.reg.DynamicHome(g)
@@ -61,21 +61,18 @@ func (k *Kernel) MigratePage(g mem.GPage, to mem.NodeID, done func(at sim.Time))
 		return nil
 	}
 	if cur == k.node {
-		if _, ok := k.homePages[g]; !ok {
+		if !k.homePages.Has(g) {
 			return fmt.Errorf("kernel: %v is not mapped at its home", g)
 		}
 	}
 	if int(to) < 0 || int(to) >= k.reg.Nodes() {
 		return fmt.Errorf("kernel: bad migration target %d", to)
 	}
-	if k.migrating == nil {
-		k.migrating = make(map[mem.GPage]func(at sim.Time))
-	}
 	start := k.e.Now()
-	k.migrating[g] = func(at sim.Time) {
+	k.migrating.Set(g, func(at sim.Time) {
 		k.histMigration.Observe(at - start)
 		done(at)
-	}
+	})
 	k.Stats.Migrations++
 	t := k.e.Now() + k.tm.PageOutKernel/2
 	k.net.Send(t, k.node, cur, k.tm.MsgHeader, &MigratePrepMsg{Page: g, To: to})
@@ -105,12 +102,12 @@ func (k *Kernel) handleMigratePrep(src mem.NodeID, m *MigratePrepMsg) {
 // mapping (if locally used) or frees it.
 func (k *Kernel) demoteHome(g mem.GPage, to mem.NodeID, lines []directory.Line) {
 	var f mem.FrameID
-	if hp, ok := k.homePages[g]; ok {
+	if hp, ok := k.homePages.Get(g); ok {
 		f = hp.frame
-		delete(k.homePages, g)
-	} else if df, ok := k.dynPages[g]; ok {
+		k.homePages.Delete(g)
+	} else if df, ok := k.dynPages.Get(g); ok {
 		f = df
-		delete(k.dynPages, g)
+		k.dynPages.Delete(g)
 	} else {
 		panic(fmt.Sprintf("kernel: node %d has no home mapping for %v", k.node, g))
 	}
@@ -124,16 +121,16 @@ func (k *Kernel) demoteHome(g mem.GPage, to mem.NodeID, lines []directory.Line) 
 		ent.DynHome = to
 		ent.HomeFrameKnown = false
 		k.ctrl.SetClientTags(f, lines)
-		fb := k.frames[f]
+		fb := k.frame(f)
 		fb.client = true
 		fb.vp = vp
 		k.clientSCOMA++
 		if k.clientSCOMA > k.clientSCOMAHigh {
 			k.clientSCOMAHigh = k.clientSCOMA
 		}
-		k.homeStatus[g] = true
-		k.dynHomeHint[g] = to
-		delete(k.homeFrameHint, g)
+		k.homeStatus.Set(g, struct{}{})
+		k.dynHomeHint.Set(g, to)
+		k.homeFrameHint.Delete(g)
 		return
 	}
 	// Unused locally: reclaim the frame (the migration motivation of
@@ -149,7 +146,7 @@ func (k *Kernel) handleMigrateData(src mem.NodeID, m *MigrateDataMsg) {
 	var attempt func()
 	attempt = func() {
 		// Wait out any local fault or page-out touching this page.
-		if _, busy := k.pageBusy[g]; busy {
+		if k.pageBusy.Has(g) {
 			k.e.Schedule(64, attempt)
 			return
 		}
@@ -173,9 +170,6 @@ func (k *Kernel) handleMigrateData(src mem.NodeID, m *MigrateDataMsg) {
 // promoteHome installs g's home mapping here, reusing or replacing any
 // existing client mapping.
 func (k *Kernel) promoteHome(g mem.GPage, lines []directory.Line) mem.FrameID {
-	if k.dynPages == nil {
-		k.dynPages = make(map[mem.GPage]mem.FrameID)
-	}
 	if old, ok := k.ctrl.PIT.FrameFor(g); ok {
 		ent := k.ctrl.PIT.Entry(old)
 		switch ent.Mode {
@@ -185,29 +179,28 @@ func (k *Kernel) promoteHome(g mem.GPage, lines []directory.Line) mem.FrameID {
 			ent.HomeFrame = old
 			ent.HomeFrameKnown = true
 			k.ctrl.SetHomeTags(old, lines)
-			fb := k.frames[old]
+			fb := k.frame(old)
 			if fb.client {
 				fb.client = false
 				k.clientSCOMA--
 			}
-			k.dynPages[g] = old
-			k.dynHomeHint[g] = k.node
-			k.homeFrameHint[g] = old
+			k.dynPages.Set(g, old)
+			k.dynHomeHint.Set(g, k.node)
+			k.homeFrameHint.Set(g, old)
 			return old
 		case pit.ModeLANUMA:
-			// Replace the imaginary frame with a real one. The old
-			// binding is recycled only after its vp is consumed below.
+			// Replace the imaginary frame with a real one, carrying
+			// the old binding's virtual page over.
 			k.ctrl.Local().InvalidateFrameLines(old)
 			rent := k.ctrl.PIT.Remove(old)
-			fb := k.frames[old]
-			delete(k.frames, old)
+			fb, bound := k.frames.Get(frameKey(old))
+			k.unbindFrame(old)
 			k.freeFrame(old, rent)
 			f := k.newHomeFrame(g, lines)
-			if fb != nil {
+			if bound {
 				k.ptSet(fb.vp, PTE{Frame: f, Mode: pit.ModeSCOMA})
 				k.hw.TLBShootdown(fb.vp)
-				k.frames[f].vp = fb.vp
-				k.fbPool.Put(fb)
+				k.frame(f).vp = fb.vp
 			}
 			return f
 		}
@@ -227,9 +220,9 @@ func (k *Kernel) newHomeFrame(g mem.GPage, lines []directory.Line) mem.FrameID {
 	k.ctrl.PIT.Insert(f, ent)
 	k.ctrl.SetHomeTags(f, lines)
 	k.bindFrame(f, mem.VPage{}, g, false)
-	k.dynPages[g] = f
-	k.dynHomeHint[g] = k.node
-	k.homeFrameHint[g] = f
+	k.dynPages.Set(g, f)
+	k.dynHomeHint.Set(g, k.node)
+	k.homeFrameHint.Set(g, f)
 	return f
 }
 
@@ -239,18 +232,15 @@ func (k *Kernel) handleMigrateCommit(src mem.NodeID, m *MigrateCommitMsg) {
 	g := m.Page
 	old := k.reg.DynamicHome(g)
 	k.reg.SetDynamicHome(g, src)
-	if k.migratedAway == nil {
-		k.migratedAway = make(map[mem.GPage]migRecord)
-	}
 	if src == k.node {
-		delete(k.migratedAway, g)
+		k.migratedAway.Delete(g)
 	} else {
-		k.migratedAway[g] = migRecord{node: src, frame: m.NewFrame}
+		k.migratedAway.Set(g, migRecord{node: src, frame: m.NewFrame})
 	}
 	// Release the traffic held at the old home during the window.
 	k.net.Send(k.e.Now(), k.node, old, k.tm.MsgHeader, &MigrateDoneMsg{Page: g})
-	done := k.migrating[g]
-	delete(k.migrating, g)
+	done, _ := k.migrating.Get(g)
+	k.migrating.Delete(g)
 	if done != nil {
 		done(k.e.Now())
 	}

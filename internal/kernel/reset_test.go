@@ -35,10 +35,10 @@ func TestResetMeasurementContract(t *testing.T) {
 func TestResetKeepsPools(t *testing.T) {
 	k := mkKernel(t, 4)
 	k.poolPageInReq.Put(k.poolPageInReq.Get())
-	k.fbPool.Put(k.fbPool.Get())
+	k.poolUnmapAck.Put(k.poolUnmapAck.Get())
 	k.ResetStats()
-	if k.poolPageInReq.Len() != 1 || k.fbPool.Len() != 1 {
+	if k.poolPageInReq.Len() != 1 || k.poolUnmapAck.Len() != 1 {
 		t.Fatalf("pooled capacity lost across reset: %d/%d",
-			k.poolPageInReq.Len(), k.fbPool.Len())
+			k.poolPageInReq.Len(), k.poolUnmapAck.Len())
 	}
 }

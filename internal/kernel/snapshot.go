@@ -6,14 +6,14 @@ import (
 
 	"prism/internal/mem"
 	"prism/internal/pit"
-	"prism/internal/sim"
 )
 
-// Serializable kernel state. Every map exports as a slice sorted by
-// its key so the JSON encoding is deterministic. In-flight state
-// (inProgress, pageBusy, pendingIn, unmapWait, migrating) holds host
-// closures and is never captured: the capture layer checks Quiesced
-// first. Segment attachments are not captured either — they are
+// Serializable kernel state. Every table exports as a slice in
+// ascending key order so the JSON encoding is deterministic: the dense
+// page and frame tables iterate in that order, the page-table map is
+// sorted. In-flight state (inProgress, pageBusy, pendingIn, unmapWait,
+// migrating) holds host closures and is never captured: the capture
+// layer checks Quiesced first. Segment attachments are not captured either — they are
 // re-created deterministically by machine construction and workload
 // setup before state import.
 
@@ -99,17 +99,27 @@ type KernelState struct {
 // page-in, unmap or migration work (part of the capture layer's
 // quiescence predicate).
 func (k *Kernel) Quiesced() bool {
-	return len(k.inProgress) == 0 && len(k.pageBusy) == 0 && len(k.pendingIn) == 0 &&
-		len(k.unmapWait) == 0 && len(k.migrating) == 0
+	return len(k.inProgress) == 0 && k.pageBusy.Len() == 0 && k.pendingIn.Len() == 0 &&
+		k.unmapWait.Len() == 0 && k.migrating.Len() == 0
 }
 
-func sortGP(s []GPageEntry) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Seg != s[j].Seg {
-			return s[i].Seg < s[j].Seg
-		}
-		return s[i].Page < s[j].Page
+// exportGP lists a page table's entries in its ascending (seg, page)
+// order, mapping each value to its exported scalar. It returns nil for
+// an empty table so the JSON stays null.
+func exportGP[T any](t *mem.PageTable[T], value func(T) uint64) []GPageEntry {
+	var out []GPageEntry
+	t.Range(func(g mem.GPage, v *T) {
+		out = append(out, GPageEntry{Seg: g.Seg, Page: g.Page, Value: value(*v)})
 	})
+	return out
+}
+
+// importGP rebuilds a page table from its exported entries.
+func importGP[T any](t *mem.PageTable[T], s []GPageEntry, value func(uint64) T) {
+	t.Clear()
+	for _, e := range s {
+		t.Set(mem.GPage{Seg: e.Seg, Page: e.Page}, value(e.Value))
+	}
 }
 
 // ExportState captures the kernel. It panics if the kernel is not
@@ -131,10 +141,8 @@ func (k *Kernel) ExportState() KernelState {
 		s.PT = append(s.PT, PTEState{Seg: vp.Seg, Page: vp.Page, Frame: pte.Frame, Mode: uint8(pte.Mode)})
 	}
 	sort.Slice(s.PT, func(i, j int) bool {
-		if s.PT[i].Seg != s.PT[j].Seg {
-			return s.PT[i].Seg < s.PT[j].Seg
-		}
-		return s.PT[i].Page < s.PT[j].Page
+		a, b := s.PT[i], s.PT[j]
+		return a.Seg < b.Seg || a.Seg == b.Seg && a.Page < b.Page
 	})
 	s.TLB = SoftTLBState{
 		Keys:  append([]uint64(nil), k.tlb.keys...),
@@ -144,7 +152,8 @@ func (k *Kernel) ExportState() KernelState {
 	for i, pte := range k.tlb.ptes {
 		s.TLB.PTEs[i] = PTEState{Frame: pte.Frame, Mode: uint8(pte.Mode)}
 	}
-	for f, fb := range k.frames {
+	k.frames.Range(func(key mem.GPage, fb *frameBinding) {
+		f := keyFrame(key)
 		if fb.busy {
 			panic(fmt.Sprintf("kernel: node %d ExportState with busy frame %d", k.node, f))
 		}
@@ -152,45 +161,17 @@ func (k *Kernel) ExportState() KernelState {
 			Frame: f, VPSeg: fb.vp.Seg, VPPage: fb.vp.Page,
 			GSeg: fb.page.Seg, GPage: fb.page.Page, Client: fb.client,
 		})
-	}
-	sort.Slice(s.Frames, func(i, j int) bool { return s.Frames[i].Frame < s.Frames[j].Frame })
-	for g, m := range k.pageMode {
-		s.PageMode = append(s.PageMode, GPageEntry{Seg: g.Seg, Page: g.Page, Value: uint64(m)})
-	}
-	for g := range k.homeStatus {
-		s.HomeStatus = append(s.HomeStatus, GPageEntry{Seg: g.Seg, Page: g.Page})
-	}
-	for g, f := range k.homeFrameHint {
-		s.HomeFrameHint = append(s.HomeFrameHint, GPageEntry{Seg: g.Seg, Page: g.Page, Value: uint64(f)})
-	}
-	for g, n := range k.dynHomeHint {
-		s.DynHomeHint = append(s.DynHomeHint, GPageEntry{Seg: g.Seg, Page: g.Page, Value: uint64(n)})
-	}
-	for g, f := range k.dynPages {
-		s.DynPages = append(s.DynPages, GPageEntry{Seg: g.Seg, Page: g.Page, Value: uint64(f)})
-	}
-	sortGP(s.PageMode)
-	sortGP(s.HomeStatus)
-	sortGP(s.HomeFrameHint)
-	sortGP(s.DynHomeHint)
-	sortGP(s.DynPages)
-	for g, hp := range k.homePages {
-		s.HomePages = append(s.HomePages, HomePageState{Seg: g.Seg, Page: g.Page, Frame: hp.frame, Known: hp.known, Mapped: hp.mapped})
-	}
-	sort.Slice(s.HomePages, func(i, j int) bool {
-		if s.HomePages[i].Seg != s.HomePages[j].Seg {
-			return s.HomePages[i].Seg < s.HomePages[j].Seg
-		}
-		return s.HomePages[i].Page < s.HomePages[j].Page
 	})
-	for g, rec := range k.migratedAway {
+	s.PageMode = exportGP(&k.pageMode, func(m pit.Mode) uint64 { return uint64(m) })
+	s.HomeStatus = exportGP(&k.homeStatus, func(struct{}) uint64 { return 0 })
+	s.HomeFrameHint = exportGP(&k.homeFrameHint, func(f mem.FrameID) uint64 { return uint64(f) })
+	s.DynHomeHint = exportGP(&k.dynHomeHint, func(n mem.NodeID) uint64 { return uint64(n) })
+	s.DynPages = exportGP(&k.dynPages, func(f mem.FrameID) uint64 { return uint64(f) })
+	k.homePages.Range(func(g mem.GPage, hp **homePage) {
+		s.HomePages = append(s.HomePages, HomePageState{Seg: g.Seg, Page: g.Page, Frame: (*hp).frame, Known: (*hp).known, Mapped: (*hp).mapped})
+	})
+	k.migratedAway.Range(func(g mem.GPage, rec *migRecord) {
 		s.MigratedAway = append(s.MigratedAway, MigRecordState{Seg: g.Seg, Page: g.Page, Node: rec.node, Frame: rec.frame})
-	}
-	sort.Slice(s.MigratedAway, func(i, j int) bool {
-		if s.MigratedAway[i].Seg != s.MigratedAway[j].Seg {
-			return s.MigratedAway[i].Seg < s.MigratedAway[j].Seg
-		}
-		return s.MigratedAway[i].Page < s.MigratedAway[j].Page
 	})
 	return s
 }
@@ -216,46 +197,27 @@ func (k *Kernel) ImportState(s KernelState) {
 	k.clientSCOMA = s.ClientSCOMA
 	k.clientSCOMAHigh = s.ClientSCOMAHigh
 
-	k.frames = make(map[mem.FrameID]*frameBinding, len(s.Frames))
+	k.frames.Clear()
 	for _, e := range s.Frames {
-		k.frames[e.Frame] = &frameBinding{
-			vp:     mem.VPage{Seg: e.VPSeg, Page: e.VPPage},
-			page:   mem.GPage{Seg: e.GSeg, Page: e.GPage},
-			client: e.Client,
-		}
+		k.bindFrame(e.Frame, mem.VPage{Seg: e.VPSeg, Page: e.VPPage}, mem.GPage{Seg: e.GSeg, Page: e.GPage}, e.Client)
 	}
-	k.pageMode = make(map[mem.GPage]pit.Mode, len(s.PageMode))
-	for _, e := range s.PageMode {
-		k.pageMode[mem.GPage{Seg: e.Seg, Page: e.Page}] = pit.Mode(e.Value)
-	}
-	k.homeStatus = make(map[mem.GPage]bool, len(s.HomeStatus))
-	for _, e := range s.HomeStatus {
-		k.homeStatus[mem.GPage{Seg: e.Seg, Page: e.Page}] = true
-	}
-	k.homeFrameHint = make(map[mem.GPage]mem.FrameID, len(s.HomeFrameHint))
-	for _, e := range s.HomeFrameHint {
-		k.homeFrameHint[mem.GPage{Seg: e.Seg, Page: e.Page}] = mem.FrameID(e.Value)
-	}
-	k.dynHomeHint = make(map[mem.GPage]mem.NodeID, len(s.DynHomeHint))
-	for _, e := range s.DynHomeHint {
-		k.dynHomeHint[mem.GPage{Seg: e.Seg, Page: e.Page}] = mem.NodeID(e.Value)
-	}
-	k.dynPages = make(map[mem.GPage]mem.FrameID, len(s.DynPages))
-	for _, e := range s.DynPages {
-		k.dynPages[mem.GPage{Seg: e.Seg, Page: e.Page}] = mem.FrameID(e.Value)
-	}
-	k.homePages = make(map[mem.GPage]*homePage, len(s.HomePages))
+	importGP(&k.pageMode, s.PageMode, func(v uint64) pit.Mode { return pit.Mode(v) })
+	importGP(&k.homeStatus, s.HomeStatus, func(uint64) struct{} { return struct{}{} })
+	importGP(&k.homeFrameHint, s.HomeFrameHint, func(v uint64) mem.FrameID { return mem.FrameID(v) })
+	importGP(&k.dynHomeHint, s.DynHomeHint, func(v uint64) mem.NodeID { return mem.NodeID(v) })
+	importGP(&k.dynPages, s.DynPages, func(v uint64) mem.FrameID { return mem.FrameID(v) })
+	k.homePages.Clear()
 	for _, e := range s.HomePages {
-		k.homePages[mem.GPage{Seg: e.Seg, Page: e.Page}] = &homePage{frame: e.Frame, known: e.Known, mapped: e.Mapped}
+		k.homePages.Set(mem.GPage{Seg: e.Seg, Page: e.Page}, &homePage{frame: e.Frame, known: e.Known, mapped: e.Mapped})
 	}
-	k.migratedAway = make(map[mem.GPage]migRecord, len(s.MigratedAway))
+	k.migratedAway.Clear()
 	for _, e := range s.MigratedAway {
-		k.migratedAway[mem.GPage{Seg: e.Seg, Page: e.Page}] = migRecord{node: e.Node, frame: e.Frame}
+		k.migratedAway.Set(mem.GPage{Seg: e.Seg, Page: e.Page}, migRecord{node: e.Node, frame: e.Frame})
 	}
 	k.inProgress = make(map[mem.VPage][]faultCont)
-	k.pageBusy = make(map[mem.GPage][]func())
-	k.pendingIn = make(map[mem.GPage][]func(at sim.Time, resp *PageInResp))
-	k.unmapWait = make(map[mem.GPage]*unmapTxn)
-	k.migrating = make(map[mem.GPage]func(at sim.Time))
+	k.pageBusy.Clear()
+	k.pendingIn.Clear()
+	k.unmapWait.Clear()
+	k.migrating.Clear()
 	k.Stats = s.Stats
 }

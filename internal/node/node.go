@@ -117,7 +117,7 @@ func New(e *sim.Engine, id mem.NodeID, geom mem.Geometry, tm *timing.T, cfg Conf
 			coro:    sim.NewCoro(fmt.Sprintf("node%d.cpu%d", id, i)),
 			l1:      cache.New(fmt.Sprintf("n%dp%d.L1", id, i), cfg.L1),
 			l2:      cache.New(fmt.Sprintf("n%dp%d.L2", id, i), cfg.L2),
-			tlb:     newTLB(cfg.TLBEntries),
+			tlb:     NewTLB(cfg.TLBEntries),
 			quantum: cfg.Quantum,
 		}
 		pr.bind()
@@ -420,7 +420,7 @@ func (n *Node) InvalidateFrameLines(f mem.FrameID) []int {
 // TLB (never cross-node — PRISM's translations are node-private).
 func (n *Node) TLBShootdown(vp mem.VPage) {
 	for _, q := range n.Procs {
-		q.tlb.invalidate(vp)
+		q.tlb.Invalidate(vp)
 	}
 }
 

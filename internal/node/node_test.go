@@ -7,12 +7,12 @@ import (
 )
 
 func TestTLBInsertLookup(t *testing.T) {
-	tb := newTLB(4)
+	tb := NewTLB(4)
 	for i := 0; i < 4; i++ {
-		tb.insert(mem.VPage{Seg: 1, Page: uint32(i)}, mem.FrameID(i))
+		tb.Insert(mem.VPage{Seg: 1, Page: uint32(i)}, mem.FrameID(i))
 	}
 	for i := 0; i < 4; i++ {
-		f, ok := tb.lookup(mem.VPage{Seg: 1, Page: uint32(i)})
+		f, ok := tb.Lookup(mem.VPage{Seg: 1, Page: uint32(i)})
 		if !ok || f != mem.FrameID(i) {
 			t.Fatalf("lookup %d: %d %v", i, f, ok)
 		}
@@ -20,47 +20,47 @@ func TestTLBInsertLookup(t *testing.T) {
 }
 
 func TestTLBLRUEviction(t *testing.T) {
-	tb := newTLB(2)
+	tb := NewTLB(2)
 	a := mem.VPage{Seg: 1, Page: 0}
 	b := mem.VPage{Seg: 1, Page: 1}
 	c := mem.VPage{Seg: 1, Page: 2}
-	tb.insert(a, 0)
-	tb.insert(b, 1)
-	tb.lookup(a) // a is MRU
-	tb.insert(c, 2)
-	if _, ok := tb.lookup(b); ok {
+	tb.Insert(a, 0)
+	tb.Insert(b, 1)
+	tb.Lookup(a) // a is MRU
+	tb.Insert(c, 2)
+	if _, ok := tb.Lookup(b); ok {
 		t.Error("LRU entry survived")
 	}
-	if _, ok := tb.lookup(a); !ok {
+	if _, ok := tb.Lookup(a); !ok {
 		t.Error("MRU entry evicted")
 	}
-	if _, ok := tb.lookup(c); !ok {
+	if _, ok := tb.Lookup(c); !ok {
 		t.Error("new entry missing")
 	}
 }
 
 func TestTLBInvalidate(t *testing.T) {
-	tb := newTLB(4)
+	tb := NewTLB(4)
 	vp := mem.VPage{Seg: 2, Page: 9}
-	tb.insert(vp, 7)
-	tb.invalidate(vp)
-	if _, ok := tb.lookup(vp); ok {
+	tb.Insert(vp, 7)
+	tb.Invalidate(vp)
+	if _, ok := tb.Lookup(vp); ok {
 		t.Error("invalidated entry found")
 	}
-	tb.invalidate(vp) // idempotent
+	tb.Invalidate(vp) // idempotent
 }
 
 func TestTLBDeterministicEviction(t *testing.T) {
 	// Two entries inserted in one "burst" have distinct clocks, so
 	// eviction order is deterministic across runs.
 	runOnce := func() []uint32 {
-		tb := newTLB(3)
+		tb := NewTLB(3)
 		for i := 0; i < 10; i++ {
-			tb.insert(mem.VPage{Seg: 1, Page: uint32(i)}, mem.FrameID(i))
+			tb.Insert(mem.VPage{Seg: 1, Page: uint32(i)}, mem.FrameID(i))
 		}
 		var present []uint32
 		for i := 0; i < 10; i++ {
-			if _, ok := tb.lookup(mem.VPage{Seg: 1, Page: uint32(i)}); ok {
+			if _, ok := tb.Lookup(mem.VPage{Seg: 1, Page: uint32(i)}); ok {
 				present = append(present, uint32(i))
 			}
 		}

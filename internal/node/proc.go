@@ -45,7 +45,7 @@ type Proc struct {
 	n       *Node
 	coro    *sim.Coro
 	l1, l2  *cache.Cache
-	tlb     *tlb
+	tlb     *TLB
 	now     sim.Time
 	quantum sim.Time
 	tracer  Tracer
@@ -347,26 +347,7 @@ func (p *Proc) accessOnce(va mem.VAddr, write bool) (retranslate bool) {
 	p.Stats.BusyCycles += tm.L1Hit
 	p.maybeYield()
 
-	vp := va.Page(g)
-	f, ok := p.tlb.lookup(vp)
-	if !ok {
-		pte, mapped := p.n.Kern.PTE(vp)
-		if !mapped {
-			p.Stats.PageFaults++
-			p.fault(vp)
-			pte, mapped = p.n.Kern.PTE(vp)
-			if !mapped {
-				panic(fmt.Sprintf("proc %d: segmentation fault at %v", p.ID, va))
-			}
-		}
-		p.Stats.TLBMisses++
-		p.now += tm.TLBMiss
-		p.Stats.StallCycles += tm.TLBMiss
-		p.tlb.insert(vp, pte.Frame)
-		f = pte.Frame
-	}
-
-	la := mem.NewPAddr(g, f, va.PageOffset(g)).LineAddr(g)
+	la := mem.NewPAddr(g, p.translate(va), va.PageOffset(g)).LineAddr(g)
 
 	switch p.l1.Access(la, write) {
 	case cache.Hit:
@@ -430,14 +411,11 @@ func (p *Proc) busAccess(la mem.PAddr, write bool) (retranslate bool) {
 	return p.busRetr
 }
 
-// translate resolves va to a frame, taking TLB misses and page faults
-// like a normal access (shared by the hardware-lock path).
+// translate resolves va to a frame through the TLB, taking TLB misses
+// and page faults (shared by loads, stores and the hardware-lock path).
 func (p *Proc) translate(va mem.VAddr) mem.FrameID {
-	g := p.n.geom
-	tm := p.n.tm
-	vp := va.Page(g)
-	f, ok := p.tlb.lookup(vp)
-	if ok {
+	vp := va.Page(p.n.geom)
+	if f, ok := p.tlb.Lookup(vp); ok {
 		return f
 	}
 	pte, mapped := p.n.Kern.PTE(vp)
@@ -450,9 +428,9 @@ func (p *Proc) translate(va mem.VAddr) mem.FrameID {
 		}
 	}
 	p.Stats.TLBMisses++
-	p.now += tm.TLBMiss
-	p.Stats.StallCycles += tm.TLBMiss
-	p.tlb.insert(vp, pte.Frame)
+	p.now += p.n.tm.TLBMiss
+	p.Stats.StallCycles += p.n.tm.TLBMiss
+	p.tlb.Insert(vp, pte.Frame)
 	return pte.Frame
 }
 
@@ -516,63 +494,4 @@ func (p *Proc) fault(vp mem.VPage) {
 	if !p.faultOK {
 		panic(fmt.Sprintf("proc %d: unresolvable page fault on %v", p.ID, vp))
 	}
-}
-
-// tlb is a small fully-associative LRU TLB.
-type tlb struct {
-	cap     int
-	entries map[mem.VPage]mem.FrameID
-	lru     map[mem.VPage]uint64
-	clock   uint64
-}
-
-func newTLB(capacity int) *tlb {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &tlb{
-		cap:     capacity,
-		entries: make(map[mem.VPage]mem.FrameID, capacity),
-		lru:     make(map[mem.VPage]uint64, capacity),
-	}
-}
-
-func (t *tlb) lookup(vp mem.VPage) (mem.FrameID, bool) {
-	f, ok := t.entries[vp]
-	if ok {
-		t.clock++
-		t.lru[vp] = t.clock
-	}
-	return f, ok
-}
-
-func (t *tlb) insert(vp mem.VPage, f mem.FrameID) {
-	if len(t.entries) >= t.cap {
-		var victim mem.VPage
-		first := true
-		var min uint64
-		for e, c := range t.lru {
-			if first || c < min || (c == min && less(e, victim)) {
-				victim, min, first = e, c, false
-			}
-		}
-		delete(t.entries, victim)
-		delete(t.lru, victim)
-	}
-	t.clock++
-	t.entries[vp] = f
-	t.lru[vp] = t.clock
-}
-
-// less gives a deterministic tie-break for equal LRU counters.
-func less(a, b mem.VPage) bool {
-	if a.Seg != b.Seg {
-		return a.Seg < b.Seg
-	}
-	return a.Page < b.Page
-}
-
-func (t *tlb) invalidate(vp mem.VPage) {
-	delete(t.entries, vp)
-	delete(t.lru, vp)
 }

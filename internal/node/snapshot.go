@@ -9,8 +9,8 @@ import (
 
 // Serializable state for the node layer: processors (local clock,
 // stats, TLB), the per-node buses and the synchronization domain.
-// Maps are exported as sorted slices so the JSON encoding is
-// deterministic (see internal/snapshot).
+// Maps and TLB slots are exported as sorted slices so the JSON encoding
+// is deterministic (see internal/snapshot).
 
 // TLBEntryState is one TLB translation with its LRU stamp.
 type TLBEntryState struct {
@@ -49,30 +49,27 @@ func (p *Proc) ImportState(s ProcState) {
 	p.tlb.importState(s.TLB)
 }
 
-func (t *tlb) exportState() TLBState {
+func (t *TLB) exportState() TLBState {
 	s := TLBState{Clock: t.clock}
-	for vp, f := range t.entries {
-		s.Entries = append(s.Entries, TLBEntryState{Seg: vp.Seg, Page: vp.Page, Frame: f, LRU: t.lru[vp]})
+	for _, sl := range t.slots {
+		if k := sl.key - 1; sl.key != 0 {
+			s.Entries = append(s.Entries, TLBEntryState{Seg: mem.VSID(k >> 32), Page: uint32(k), Frame: sl.frame, LRU: sl.stamp})
+		}
 	}
 	sort.Slice(s.Entries, func(i, j int) bool {
 		a, b := s.Entries[i], s.Entries[j]
-		if a.Seg != b.Seg {
-			return a.Seg < b.Seg
-		}
-		return a.Page < b.Page
+		return a.Seg < b.Seg || a.Seg == b.Seg && a.Page < b.Page
 	})
 	return s
 }
 
-func (t *tlb) importState(s TLBState) {
-	t.clock = s.Clock
-	t.entries = make(map[mem.VPage]mem.FrameID, len(s.Entries))
-	t.lru = make(map[mem.VPage]uint64, len(s.Entries))
-	for _, e := range s.Entries {
-		vp := mem.VPage{Seg: e.Seg, Page: e.Page}
-		t.entries[vp] = e.Frame
-		t.lru[vp] = e.LRU
+// importState restores the TLB from the state of one of equal capacity.
+func (t *TLB) importState(s TLBState) {
+	clear(t.slots)
+	for i, e := range s.Entries {
+		t.slots[i] = tlbSlot{key: tlbKey(mem.VPage{Seg: e.Seg, Page: e.Page}), frame: e.Frame, stamp: e.LRU}
 	}
+	t.n, t.mru, t.clock = len(s.Entries), 0, s.Clock
 }
 
 // NodeState is the node-level hardware state outside the processors:

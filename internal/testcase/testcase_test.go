@@ -2,8 +2,11 @@ package testcase
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -116,6 +119,64 @@ func TestCorpusReplays(t *testing.T) {
 	if n == 0 {
 		t.Fatalf("no .prismcase files in %s", dir)
 	}
+}
+
+// TestCorpusReRecordIdentical re-records every committed case from its
+// knobs alone — Checkpoint and Expect cleared, then Create, Write and
+// Read — and requires the result to equal the committed case exactly.
+// Replaying (TestCorpusReplays) cannot see a change in what a
+// checkpoint captures or in the order it lists it; re-recording can.
+func TestCorpusReRecordIdentical(t *testing.T) {
+	dir := filepath.Join("..", "..", "testdata", "cases")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.prismcase"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no .prismcase files in %s (%v)", dir, err)
+	}
+	for i, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			if testing.Short() && i > 0 {
+				t.Skip("corpus subset in -short mode")
+			}
+			orig, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := *orig
+			fresh.Checkpoint, fresh.Expect = nil, nil
+			if err := Create(&fresh); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := Write(&buf, &fresh); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Read(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, orig) {
+				got, _ := json.Marshal(back)
+				want, _ := json.Marshal(orig)
+				t.Fatalf("re-recorded case differs from the committed one%s", firstDiff(got, want))
+			}
+		})
+	}
+}
+
+// firstDiff describes where two JSON encodings first differ.
+func firstDiff(got, want []byte) string {
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	if i == len(got) && i == len(want) {
+		return " (the encodings are identical)"
+	}
+	ctx := func(b []byte) []byte {
+		lo, hi := max(i-80, 0), min(i+80, len(b))
+		return b[lo:hi]
+	}
+	return fmt.Sprintf(" at byte %d:\n got: …%s…\nwant: …%s…", i, ctx(got), ctx(want))
 }
 
 // TestMinimizeShrinks drives the minimizer with a synthetic oracle so
